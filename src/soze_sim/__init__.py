@@ -1,11 +1,10 @@
 """Fluid-model network simulator and verification harness for decentralized
 weighted bandwidth allocation, with a centralized water-filling oracle."""
 
-from .baselines import AimdConfig, AimdState, aimd_adjust
+from .baselines import AimdConfig, aimd_window
 from .control import (
     ControlParams,
     LemmaReport,
-    adjust_rate,
     check_lemma_conditions,
     inverse_target,
     target_delay,
@@ -13,12 +12,9 @@ from .control import (
 )
 from .fluid import (
     FluidSimulation,
-    LinkState,
     SimConfig,
     Trace,
     initial_rate,
-    link_step,
-    max_qd,
     run,
 )
 from .metrics import (
@@ -30,7 +26,6 @@ from .metrics import (
 )
 from .model import (
     FlowSpec,
-    FlowState,
     Link,
     Topology,
     base_rtt,
@@ -50,23 +45,19 @@ from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
 
 __all__ = [
     "AimdConfig",
-    "AimdState",
     "AllocationResult",
     "ControlParams",
     "ConvergenceReport",
     "FlowSpec",
-    "FlowState",
     "FluidSimulation",
     "LemmaReport",
     "Link",
-    "LinkState",
     "Scenario",
     "ScenarioError",
     "SimConfig",
     "Topology",
     "Trace",
-    "adjust_rate",
-    "aimd_adjust",
+    "aimd_window",
     "base_rtt",
     "bottleneck_of",
     "build_topology",
@@ -76,9 +67,7 @@ __all__ = [
     "fat_tree",
     "initial_rate",
     "inverse_target",
-    "link_step",
     "load_scenario",
-    "max_qd",
     "mean_rates",
     "route_flow",
     "run",

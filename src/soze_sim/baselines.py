@@ -10,7 +10,9 @@ comparison on equal-weight scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -18,7 +20,6 @@ class AimdConfig:
     threshold: float = 20e-6     # s; queueing delay that triggers backoff
     md: float = 0.20             # multiplicative decrease fraction
     packet_size: float = 8000.0  # bits
-    base_rtt: float | None = None  # s; per-flow value may override
 
     def validate(self) -> None:
         if not self.threshold > 0:
@@ -27,45 +28,15 @@ class AimdConfig:
             raise ValueError("md must be in (0, 1)")
         if not self.packet_size > 0:
             raise ValueError("packet_size must be > 0")
-        if self.base_rtt is not None and not self.base_rtt > 0:
-            raise ValueError("base_rtt must be > 0")
 
 
-@dataclass(frozen=True)
-class AimdState:
-    cwnd: float          # packets, real-valued, never below 1
-    rate: float          # bits/s
-    last_update: float   # s
-
-
-def aimd_adjust(
-    state: AimdState,
-    signal: float,
-    now: float,
-    config: AimdConfig,
-    *,
-    base_rtt: float | None = None,
-    gate_tolerance: float = 0.0,
-) -> AimdState:
-    """One AIMD step, gated once per RTT.
+def aimd_window(cwnd, signal, config: AimdConfig):
+    """The window after one AIMD step, per flow.
 
     Below the delay threshold the window grows by one packet; at or above
     it the window shrinks by the configured fraction, never below one
-    packet.  The rate is recomputed from the window after either move.
+    packet.  The caller gates the step once per RTT and derives the rate
+    from the window.
     """
-    rtt = base_rtt if base_rtt is not None else config.base_rtt
-    if rtt is None:
-        raise ValueError("no base RTT: pass base_rtt or set it in the config")
-    if not now - state.last_update > rtt - gate_tolerance:
-        return state
-    if signal < config.threshold:
-        cwnd = state.cwnd + 1.0
-    else:
-        cwnd = state.cwnd * (1.0 - config.md)
-    cwnd = max(cwnd, 1.0)
-    return replace(
-        state,
-        cwnd=cwnd,
-        rate=cwnd * config.packet_size / rtt,
-        last_update=now,
-    )
+    grown = np.where(signal < config.threshold, cwnd + 1.0, cwnd * (1.0 - config.md))
+    return np.maximum(grown, 1.0)

@@ -222,10 +222,10 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(payload):
-    raw, param, value, out_dir, overrides = payload
-    scenario = scenario_from_dict(raw, overrides=overrides)
-    apply_sweep_value(scenario.raw, param, value)
-    scenario = scenario_from_dict(scenario.raw)
+    base_raw, param, value, out_dir = payload
+    raw = copy.deepcopy(base_raw)
+    apply_sweep_value(raw, param, value)
+    scenario = scenario_from_dict(raw)
     tag = f"{scenario.name}.{param}={value}"
     result = execute_scenario(scenario, out_dir, tag=tag)
     summary = result.summary
@@ -277,9 +277,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    payloads = [
-        (raw, args.param, v, args.out, args.set or ()) for v in parsed_values
-    ]
+    payloads = [(base.raw, args.param, v, args.out) for v in parsed_values]
     workers = _thread_cap(len(payloads))
     try:
         if workers <= 1:

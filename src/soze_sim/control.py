@@ -16,11 +16,9 @@ multiplicative step.  All functions accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .model import FlowState
 
 
 @dataclass(frozen=True)
@@ -89,48 +87,21 @@ def inverse_target(delay, params: ControlParams):
     return float(out) if np.isscalar(delay) or d_arr.ndim == 0 else out
 
 
-def update_ratio(s, delay, params: ControlParams):
+def update_ratio(s, delay, params: ControlParams, m=None):
     """Multiplicative rate-update ratio ``(T_inv(D)/s) ** m``.
 
     Greater than one exactly when the signalled fair share exceeds the
     flow's own rate-per-weight.  Depends only on (s, D): flows observing the
-    same delay with equal rate-per-weight move identically.
+    same delay with equal rate-per-weight move identically.  ``m`` defaults
+    to ``params.m``; the per-packet gate passes a per-flow exponent.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0):
         raise ValueError("rate-per-weight must be > 0")
-    out = (inverse_target(delay, params) / s_arr) ** params.m
+    if m is None:
+        m = params.m
+    out = (inverse_target(delay, params) / s_arr) ** m
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
-
-def adjust_rate(
-    state: FlowState,
-    signal: float,
-    now: float,
-    params: ControlParams,
-    *,
-    update_interval: float | None = None,
-    gate_tolerance: float = 0.0,
-) -> FlowState:
-    """One control step: apply the update ratio if the gate interval elapsed.
-
-    The gate opens when ``now - last_update > interval``; otherwise the state
-    is returned unchanged.  ``update_interval`` overrides the interval in
-    ``params`` (the simulator passes the flow's base RTT).  ``gate_tolerance``
-    lets a fixed-step caller open the gate at the step nearest the exact
-    schedule instead of one step late.
-    """
-    interval = update_interval
-    if interval is None:
-        interval = params.update_interval
-    if interval is None:
-        raise ValueError("no update interval: pass update_interval or set params")
-    if not now - state.last_update > interval - gate_tolerance:
-        return state
-    ratio = update_ratio(state.rate / state.weight, signal, params)
-    cap = params.rate_cap if params.rate_cap is not None else math.inf
-    new_rate = min(max(state.rate * ratio, params.rate_floor), cap)
-    return replace(state, rate=new_rate, last_update=now, last_signal=signal)
 
 
 @dataclass(frozen=True)

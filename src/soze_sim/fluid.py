@@ -21,43 +21,18 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .baselines import AimdConfig
+from .baselines import AimdConfig, aimd_window
+# inverse_target stays a module attribute so profilers can wrap it by name
 from .control import ControlParams, inverse_target, update_ratio
-from .model import FlowSpec, FlowState, Topology, base_rtt, validate_flow
+from .model import FlowSpec, Topology, base_rtt, validate_flow
 
 
 class SimConfigError(ValueError):
     """Raised when a simulation configuration is inconsistent."""
-
-
-@dataclass(frozen=True)
-class LinkState:
-    """Instantaneous state of one directed link."""
-
-    id: str
-    queue_delay: float   # s, never negative
-    bandwidth: float     # bits/s
-
-
-def link_step(link: LinkState, arrival_rate: float, dt: float) -> LinkState:
-    """Advance a link's queueing delay by one explicit-Euler step.
-
-    ``dD/dt = (R - B) / B`` while the queue is busy; an empty queue with
-    arrivals at or below capacity stays empty.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    delta = dt * (arrival_rate - link.bandwidth) / link.bandwidth
-    return replace(link, queue_delay=max(0.0, link.queue_delay + delta))
-
-
-def max_qd(route: Sequence[str], link_states: Mapping[str, LinkState]) -> float:
-    """Maximum per-hop queueing delay along a route."""
-    return max(link_states[lid].queue_delay for lid in route)
 
 
 @dataclass(frozen=True)
@@ -353,7 +328,6 @@ class FluidSimulation:
         weights = np.array([f.weight_schedule[0][1] for f in self.flows])
         active = np.zeros(nf, dtype=bool)
         last_update = np.zeros(nf)
-        last_signal = np.zeros(nf)
         cur_sig = np.zeros(nf)
         pkt_acc = np.zeros(nf)
         cwnd = np.zeros(nf)
@@ -408,9 +382,8 @@ class FluidSimulation:
         out_qd[row] = qd
         row += 1
 
-        upd_soze = self.is_soze.copy()
-        upd_aimd = self.is_aimd.copy()
         m = self.params.m
+        gate_after = self.gate - tol
 
         for k in range(n_steps):
             t_next = (k + 1) * dt
@@ -425,45 +398,32 @@ class FluidSimulation:
 
             cur_sig = self._signals(t_next, k + 1)
 
+            due = active & (t_next - last_update > gate_after)
             if cfg.update_mode == "per_rtt":
-                gate_open = t_next - last_update > self.gate - tol
-                mask = active & upd_soze & gate_open
-                if mask.any():
-                    s = rates[mask] / weights[mask]
-                    ratio = update_ratio(s, cur_sig[mask], self.params)
-                    rates[mask] = np.clip(
-                        rates[mask] * ratio, self.params.rate_floor,
-                        self.caps[mask],
-                    )
-                    last_update[mask] = t_next
-                    last_signal[mask] = cur_sig[mask]
+                mask = due & self.is_soze
+                exponent = None
             else:
-                live = active & upd_soze
+                live = active & self.is_soze
                 pkt_acc[live] += dt * rates[live] / cfg.packet_size
                 whole = np.floor(pkt_acc)
                 mask = live & (whole >= 1.0)
-                if mask.any():
-                    s = rates[mask] / weights[mask]
-                    mu = np.minimum(m * whole[mask], 1.0)
-                    ratio = (inverse_target(cur_sig[mask], self.params) / s) ** mu
-                    rates[mask] = np.clip(
-                        rates[mask] * ratio, self.params.rate_floor,
-                        self.caps[mask],
-                    )
-                    pkt_acc[mask] -= whole[mask]
-                    last_update[mask] = t_next
-                    last_signal[mask] = cur_sig[mask]
-
-            mask = active & upd_aimd & (t_next - last_update > self.gate - tol)
+                exponent = np.minimum(m * whole[mask], 1.0)
+                pkt_acc[mask] -= whole[mask]
             if mask.any():
-                below = cur_sig[mask] < aimd.threshold
-                cw = np.where(below, cwnd[mask] + 1.0, cwnd[mask] * (1.0 - aimd.md))
-                cwnd[mask] = np.maximum(cw, 1.0)
+                s = rates[mask] / weights[mask]
+                ratio = update_ratio(s, cur_sig[mask], self.params, exponent)
+                rates[mask] = np.clip(
+                    rates[mask] * ratio, self.params.rate_floor, self.caps[mask]
+                )
+                last_update[mask] = t_next
+
+            mask = due & self.is_aimd
+            if mask.any():
+                cwnd[mask] = aimd_window(cwnd[mask], cur_sig[mask], aimd)
                 rates[mask] = np.minimum(
                     cwnd[mask] * aimd_pkt / self.base_rtt[mask], self.caps[mask]
                 )
                 last_update[mask] = t_next
-                last_signal[mask] = cur_sig[mask]
 
             if (k + 1) % self.sample_every == 0:
                 out_t[row] = t_next
@@ -471,17 +431,6 @@ class FluidSimulation:
                 out_sig[row] = np.where(active, cur_sig, 0.0)
                 out_qd[row] = qd
                 row += 1
-
-        self._final_states = [
-            FlowState(
-                flow_id=self.flow_ids[j],
-                rate=float(rates[j]),
-                weight=float(weights[j]),
-                last_update=float(last_update[j]),
-                last_signal=float(last_signal[j]),
-            )
-            for j in range(nf)
-        ]
 
         return Trace(
             times=out_t[:row],
@@ -499,20 +448,6 @@ class FluidSimulation:
             },
             sampling_interval=self.sampling_interval,
         )
-
-    def flow_states(self) -> dict[str, FlowState]:
-        if not hasattr(self, "_final_states"):
-            raise RuntimeError("simulation has not run")
-        return {st.flow_id: st for st in self._final_states}
-
-    def link_states(self) -> dict[str, LinkState]:
-        if not hasattr(self, "_hist"):
-            raise RuntimeError("simulation has not started")
-        return {
-            lid: LinkState(lid, float(self._hist[self._filled, i]),
-                           float(self.bw[i]))
-            for i, lid in enumerate(self.link_ids)
-        }
 
 
 def run(topology: Topology, flows: Sequence[FlowSpec], config: SimConfig) -> Trace:

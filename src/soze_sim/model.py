@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,10 +70,14 @@ class Topology:
                 raise TopologyError(f"link {l.id!r}: unknown endpoint {l.dst!r}")
             if l.src == l.dst:
                 raise TopologyError(f"link {l.id!r}: self-loop")
-            if not l.bandwidth > 0:
-                raise TopologyError(f"link {l.id!r}: bandwidth must be > 0")
-            if l.prop_delay < 0:
-                raise TopologyError(f"link {l.id!r}: negative propagation delay")
+            if not (math.isfinite(l.bandwidth) and l.bandwidth > 0):
+                raise TopologyError(
+                    f"link {l.id!r}: bandwidth must be finite and > 0"
+                )
+            if not (math.isfinite(l.prop_delay) and l.prop_delay >= 0):
+                raise TopologyError(
+                    f"link {l.id!r}: propagation delay must be finite and >= 0"
+                )
 
 
 @dataclass(frozen=True)
@@ -101,21 +106,6 @@ class FlowSpec:
         return w
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """Live controller state for one flow."""
-
-    flow_id: str
-    rate: float           # bits/s
-    weight: float
-    last_update: float    # s
-    last_signal: float    # s, maxQD most recently consumed
-
-    @property
-    def rate_per_weight(self) -> float:
-        return self.rate / self.weight
-
-
 def validate_flow(topology: Topology, flow: FlowSpec) -> None:
     if not flow.route:
         raise FlowError(f"flow {flow.id!r}: empty route")
@@ -134,10 +124,12 @@ def validate_flow(topology: Topology, flow: FlowSpec) -> None:
     if not flow.weight_schedule:
         raise FlowError(f"flow {flow.id!r}: empty weight schedule")
     times = [t for t, _ in flow.weight_schedule]
+    if not all(math.isfinite(t) for t in times):
+        raise FlowError(f"flow {flow.id!r}: schedule times must be finite")
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise FlowError(f"flow {flow.id!r}: schedule times must be strictly increasing")
-    if any(w <= 0 for _, w in flow.weight_schedule):
-        raise FlowError(f"flow {flow.id!r}: weights must be > 0")
+    if not all(math.isfinite(w) and w > 0 for _, w in flow.weight_schedule):
+        raise FlowError(f"flow {flow.id!r}: weights must be finite and > 0")
     if times[0] > flow.start_time:
         raise FlowError(
             f"flow {flow.id!r}: first schedule time {times[0]} is after start "
@@ -254,6 +246,23 @@ def _pick(flow_id: str, seed: int, node: str, n: int) -> int:
     return int.from_bytes(digest[:8], "big") % n
 
 
+def _hops_to(topology: Topology, dst: str) -> dict[str, int]:
+    """Hop distance from every node that can reach ``dst``, by BFS over
+    reversed links."""
+    dist = {dst: 0}
+    incoming: dict[str, list[Link]] = {n: [] for n in topology.nodes}
+    for l in topology.links:
+        incoming[l.dst].append(l)
+    frontier = deque([dst])
+    while frontier:
+        u = frontier.popleft()
+        for l in incoming[u]:
+            if l.src not in dist:
+                dist[l.src] = dist[u] + 1
+                frontier.append(l.src)
+    return dist
+
+
 def route_flow(
     topology: Topology,
     src: str,
@@ -272,18 +281,7 @@ def route_flow(
     for node in (src, dst):
         if node not in topology.out_links:
             raise TopologyError(f"route: unknown node {node!r}")
-    # hop distance to dst over reversed links
-    dist = {dst: 0}
-    incoming: dict[str, list[Link]] = {n: [] for n in topology.nodes}
-    for l in topology.links:
-        incoming[l.dst].append(l)
-    frontier = deque([dst])
-    while frontier:
-        u = frontier.popleft()
-        for l in incoming[u]:
-            if l.src not in dist:
-                dist[l.src] = dist[u] + 1
-                frontier.append(l.src)
+    dist = _hops_to(topology, dst)
     if src not in dist:
         raise TopologyError(f"route: no path from {src!r} to {dst!r}")
     route: list[str] = []
@@ -303,17 +301,7 @@ def enumerate_shortest_routes(
     topology: Topology, src: str, dst: str
 ) -> list[tuple[str, ...]]:
     """All equal-cost shortest routes, for verification against route_flow."""
-    dist = {dst: 0}
-    incoming: dict[str, list[Link]] = {n: [] for n in topology.nodes}
-    for l in topology.links:
-        incoming[l.dst].append(l)
-    frontier = deque([dst])
-    while frontier:
-        u = frontier.popleft()
-        for l in incoming[u]:
-            if l.src not in dist:
-                dist[l.src] = dist[u] + 1
-                frontier.append(l.src)
+    dist = _hops_to(topology, dst)
     if src not in dist:
         return []
     out: list[tuple[str, ...]] = []

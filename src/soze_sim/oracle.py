@@ -86,14 +86,16 @@ def water_fill(
         tied = sorted(
             lid for lid, s in shares.items() if s <= lowest * (1.0 + _REL_TOL)
         )
-        froze: set[str] = set()
+        # a list in freeze order: the residual sums below must not depend
+        # on string hashing
+        froze: list[str] = []
         for lid in tied:
             share = shares[lid]
             fair_share[lid] = share
             saturated.add(lid)
             for fid in on_link[lid]:
-                if fid in unfrozen and fid not in froze:
-                    froze.add(fid)
+                if fid not in rates:
+                    froze.append(fid)
                     rates[fid] = w[fid] * share
                     bottleneck[fid] = lid
         for fid in froze:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -161,9 +161,21 @@ def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
     if value is None:
         return None
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}.{key}: must be finite, got {value!r}")
+    return number
+
+
+def _numbers(cls, raw: Mapping, path: str):
+    """An instance of the all-number dataclass ``cls``; each field is read
+    from ``raw`` and keeps the class default when unset."""
+    return cls(**{
+        f.name: _number(raw, f.name, path, f.default)
+        for f in fields(cls)
+    })
 
 
 def _integer(raw: Mapping, key: str, path: str, default: int) -> int:
@@ -189,7 +201,7 @@ def _convergence_section(raw: Any) -> tuple[float, int, str]:
     if not isinstance(raw, Mapping):
         raise ScenarioError(f"{path}: expected a mapping, got {raw!r}")
     eps = _number(raw, "eps", path, Scenario.convergence_eps)
-    if eps is None or not math.isfinite(eps) or eps <= 0:
+    if eps is None or eps <= 0:
         raise ScenarioError(f"{path}.eps: must be a finite number > 0, got {eps!r}")
     window = _integer(raw, "window", path, Scenario.convergence_window)
     if window < 1:
@@ -356,26 +368,13 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
             raise ScenarioError(f"flows[{f.id}]: {exc}") from exc
 
     try:
-        control = ControlParams(
-            p=_number(ctrl_raw, "p", "control", 20e-6),
-            k=_number(ctrl_raw, "k", "control", 3e-6),
-            m=_number(ctrl_raw, "m", "control", 0.25),
-            alpha=_number(ctrl_raw, "alpha", "control", None),
-            beta=_number(ctrl_raw, "beta", "control", None),
-            update_interval=_number(ctrl_raw, "update_interval", "control", None),
-            rate_floor=_number(ctrl_raw, "rate_floor", "control", 1e6),
-            rate_cap=_number(ctrl_raw, "rate_cap", "control", None),
-        )
+        control = _numbers(ControlParams, ctrl_raw, "control")
         control.validate()
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"control: {exc}") from exc
 
     try:
-        aimd = AimdConfig(
-            threshold=_number(aimd_raw, "threshold", "aimd", 20e-6),
-            md=_number(aimd_raw, "md", "aimd", 0.20),
-            packet_size=_number(aimd_raw, "packet_size", "aimd", 8000.0),
-        )
+        aimd = _numbers(AimdConfig, aimd_raw, "aimd")
         aimd.validate()
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"aimd: {exc}") from exc
@@ -387,9 +386,12 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
             dt=_number(sim_raw, "dt", "sim"),
             end_time=_number(sim_raw, "end_time", "sim"),
             control=control,
-            signal_delay_mode=str(sim_raw.get("signal_delay_mode", "fixed_rtt")),
-            update_mode=str(sim_raw.get("update_mode", "per_rtt")),
-            packet_size=_number(sim_raw, "packet_size", "sim", 8000.0),
+            signal_delay_mode=str(
+                sim_raw.get("signal_delay_mode", SimConfig.signal_delay_mode)
+            ),
+            update_mode=str(sim_raw.get("update_mode", SimConfig.update_mode)),
+            packet_size=_number(sim_raw, "packet_size", "sim",
+                                SimConfig.packet_size),
             seed=seed,
             sampling_interval=_number(sim_raw, "sampling_interval", "sim", None),
             aimd=aimd,

@@ -1,46 +1,73 @@
+import numpy as np
 import pytest
 
-from soze_sim import AimdConfig, AimdState, aimd_adjust
+from soze_sim import (
+    AimdConfig,
+    ControlParams,
+    FlowSpec,
+    SimConfig,
+    aimd_window,
+    build_topology,
+    run,
+)
 
 
-CFG = AimdConfig(threshold=20e-6, md=0.20, packet_size=8000.0, base_rtt=1e-6)
-
-
-def state(cwnd: float, last: float = 0.0) -> AimdState:
-    return AimdState(cwnd=cwnd, rate=cwnd * 8000.0 / 1e-6, last_update=last)
+CFG = AimdConfig(threshold=20e-6, md=0.20, packet_size=8000.0)
 
 
 def test_additive_increase_below_threshold():
-    out = aimd_adjust(state(100.0), signal=5e-6, now=2e-6, config=CFG)
-    assert out.cwnd == 101.0
-    assert out.rate == pytest.approx(101 * 8000.0 / 1e-6)
+    out = aimd_window(np.array([100.0, 7.0]), np.array([5e-6, 0.0]), CFG)
+    assert list(out) == [101.0, 8.0]
 
 
 def test_multiplicative_decrease_above_threshold():
-    out = aimd_adjust(state(100.0), signal=30e-6, now=2e-6, config=CFG)
-    assert out.cwnd == pytest.approx(80.0)
+    out = aimd_window(np.array([100.0, 100.0]), np.array([30e-6, 20e-6]), CFG)
+    # the threshold itself already triggers backoff
+    assert out == pytest.approx([80.0, 80.0])
 
 
 def test_window_floor_is_one_packet():
-    out = aimd_adjust(state(1.0), signal=100e-6, now=2e-6, config=CFG)
-    assert out.cwnd == 1.0
-    assert out.rate == pytest.approx(8000.0 / 1e-6)
+    out = aimd_window(np.array([1.0, 1.1]), np.array([100e-6, 100e-6]), CFG)
+    assert list(out) == [1.0, 1.0]
+
+
+def aimd_pair_run():
+    """Two AIMD flows on separate, uncongested links with base RTTs of 0.5 and
+    1 us, sampled every step.  Both start at a one-packet window."""
+    topo = build_topology({
+        "nodes": ["a", "b", "c", "d"],
+        "links": [
+            {"src": "a", "dst": "b", "bandwidth": 1e13, "prop_delay": 0.25e-6},
+            {"src": "c", "dst": "d", "bandwidth": 1e13, "prop_delay": 0.5e-6},
+        ],
+    })
+    flows = [
+        FlowSpec("fast", ("a->b",), controller="aimd", initial_rate=1e6),
+        FlowSpec("slow", ("c->d",), controller="aimd", initial_rate=1e6),
+    ]
+    cfg = SimConfig(dt=0.125e-6, end_time=3e-6, control=ControlParams(),
+                    sampling_interval=0.125e-6, aimd=CFG)
+    return run(topo, flows, cfg)
 
 
 def test_gate_holds_within_one_rtt():
-    st = state(50.0, last=1e-6)
-    assert aimd_adjust(st, 0.0, now=1.5e-6, config=CFG) is st
-    moved = aimd_adjust(st, 0.0, now=2.5e-6, config=CFG)
-    assert moved.cwnd == 51.0
-    assert moved.last_update == 2.5e-6
+    trace = aimd_pair_run()
+    fast = trace.rates[:, trace.flow_index("fast")]
+    pkt_rate = 8000.0 / 0.5e-6
+    # one window step per RTT, on the step the RTT elapses, never in between
+    for i, t in enumerate(trace.times):
+        assert fast[i] == pytest.approx((1 + int(t / 0.5e-6 + 1e-9)) * pkt_rate)
+    assert fast[3] == fast[0] and fast[4] == 2 * pkt_rate
 
 
 def test_per_flow_rtt_override():
-    cfg = AimdConfig()
-    out = aimd_adjust(state(10.0), 0.0, now=1e-5, config=cfg, base_rtt=2e-6)
-    assert out.rate == pytest.approx(11 * 8000.0 / 2e-6)
-    with pytest.raises(ValueError, match="base RTT"):
-        aimd_adjust(state(10.0), 0.0, now=1e-5, config=cfg)
+    trace = aimd_pair_run()
+    assert trace.control_intervals == {"fast": 0.5e-6, "slow": 1e-6}
+    slow = trace.rates[:, trace.flow_index("slow")]
+    # each flow paces its window by its own base RTT: rate = cwnd * pkt / rtt
+    assert slow[7] == pytest.approx(1 * 8000.0 / 1e-6)
+    assert slow[8] == pytest.approx(2 * 8000.0 / 1e-6)
+    assert slow[-1] == pytest.approx(4 * 8000.0 / 1e-6)
 
 
 def test_config_validation():

@@ -225,6 +225,54 @@ def test_bad_convergence_setting_exits_2_and_names_field(tmp_out, capsys,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, field", [
+    ("control.p=.inf", "control.p"),
+    ("control.rate_cap=.inf", "control.rate_cap"),
+    ("sim.end_time=.inf", "sim.end_time"),
+    ("sim.sampling_interval=.inf", "sim.sampling_interval"),
+    ("sim.dt=.nan", "sim.dt"),
+    ("flows.0.weight=.inf", "flows[0].weight"),
+    ("flows.0.weight_schedule=[[0,1],[.inf,2]]", "schedule times"),
+    ("topology.links.0.prop_delay=.nan", "propagation delay"),
+])
+def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
+                                                 field):
+    path = write_scenario(tmp_out, SMALL)
+    assert main(["run", path, "--set", setting, "--out", tmp_out]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(tmp_out, "small.trace.csv"))
+
+
+def test_sweep_parses_each_instance_once(tmp_out, monkeypatch):
+    import soze_sim.cli as cli
+
+    calls = []
+    parse = cli.scenario_from_dict
+
+    def counting(raw, overrides=()):
+        calls.append(overrides)
+        return parse(raw, overrides)
+
+    monkeypatch.setattr(cli, "scenario_from_dict", counting)
+    monkeypatch.setenv("SOZE_SIM_THREADS", "1")
+    path = write_scenario(tmp_out, SMALL)
+    assert main([
+        "sweep", path, "--param", "m", "--values", "0.25,1.0",
+        "--set", "control.k=4e-6", "--set", "sim.end_time=2e-5",
+        "--out", tmp_out,
+    ]) == 0
+    # the base once (with the overrides), then each instance once
+    assert calls == [["control.k=4e-6", "sim.end_time=2e-5"], (), ()]
+    with open(os.path.join(tmp_out, "small.sweep_m.json")) as fh:
+        rows = json.load(fh)
+    for row, m in zip(rows, (0.25, 1.0)):
+        with open(row["summary_path"]) as fh:
+            control = json.load(fh)["control"]
+        assert (control["m"], control["k"]) == (m, 4e-6)
+
+
 def test_sweep_empty_values_exits_2(tmp_out, capsys):
     assert main([
         "sweep", scenario_path("m_sweep"), "--param", "m", "--values", "",

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from soze_sim import (
     ControlParams,
-    FlowState,
-    adjust_rate,
+    SimConfig,
     check_lemma_conditions,
     inverse_target,
+    run,
     target_delay,
     update_ratio,
 )
 
-from conftest import default_params
+from conftest import default_params, flow_on_link, single_link
 
 P = default_params()  # p=20us, k=3us, m=0.25, alpha=100G, beta=0.1G
 
@@ -117,47 +117,61 @@ def test_update_ratio_vectorizes():
 
 
 def test_adjust_rate_no_move_at_own_target():
-    st0 = FlowState("f", rate=40e9, weight=2.0, last_update=0.0, last_signal=0.0)
     d = target_delay(20e9, P)
-    out = adjust_rate(st0, d, now=1.0, params=P, update_interval=1e-6)
-    assert out.rate == pytest.approx(40e9, rel=1e-12)
-    assert out.last_update == 1.0
+    assert update_ratio(40e9 / 2.0, d, P) == pytest.approx(1.0, rel=1e-12)
+    # the exponent argument cannot move a flow that sits at its target
+    assert update_ratio(20e9, d, P, m=1.7) == pytest.approx(1.0, rel=1e-12)
+
+
+def gated_run(initial_rate, bandwidth=100e9, **control):
+    """One flow on a 0.5 us link; updates every 1 us, sampled every step."""
+    params = default_params(update_interval=1e-6, **control)
+    cfg = SimConfig(dt=0.125e-6, end_time=3e-6, control=params,
+                    sampling_interval=0.125e-6)
+    topo = single_link(bandwidth=bandwidth)
+    return run(topo, [flow_on_link("f", initial_rate=initial_rate)], cfg), params
 
 
 def test_adjust_rate_gate_closed_is_identity():
-    st0 = FlowState("f", rate=40e9, weight=2.0, last_update=0.0, last_signal=0.0)
-    out = adjust_rate(st0, 1e-6, now=0.5e-6, params=P, update_interval=1e-6)
-    assert out is st0
+    trace, _ = gated_run(10e9)
+    rates = trace.rates[:, 0]
+    # the rate holds between gate openings at 1, 2 and 3 us
+    assert np.all(rates[:8] == 10e9)
+    assert np.all(rates[8:16] == rates[8]) and rates[8] != 10e9
+    assert np.all(rates[16:24] == rates[16]) and rates[16] != rates[8]
 
 
 def test_adjust_rate_one_step_doubles():
-    p1 = default_params(m=1.0, rate_cap=100e9)
-    st0 = FlowState("f", rate=10e9, weight=1.0, last_update=0.0, last_signal=0.0)
+    p1 = default_params(m=1.0)
     d = target_delay(20e9, p1)
-    out = adjust_rate(st0, d, now=1.0, params=p1, update_interval=1e-6)
-    assert out.rate == pytest.approx(20e9, rel=1e-9)
-    assert out.last_signal == d
+    assert update_ratio(10e9, d, p1) == pytest.approx(2.0, rel=1e-9)
+    # the exponent argument overrides params.m: m=1 doubles, m=0.5 takes sqrt 2
+    assert update_ratio(10e9, d, P, m=1.0) == pytest.approx(2.0, rel=1e-9)
+    assert update_ratio(10e9, d, P, m=0.5) == pytest.approx(math.sqrt(2.0), rel=1e-9)
+    out = update_ratio(np.array([10e9, 10e9]), d, P, m=np.array([1.0, 0.5]))
+    assert out == pytest.approx([2.0, math.sqrt(2.0)], rel=1e-9)
 
 
 def test_adjust_rate_clamps_to_floor_and_cap():
-    p1 = default_params(m=1.0, rate_floor=1e6, rate_cap=100e9)
-    hungry = FlowState("f", rate=90e9, weight=1.0, last_update=0.0, last_signal=0.0)
-    out = adjust_rate(hungry, 0.0, now=1.0, params=p1, update_interval=1e-6)
-    assert out.rate == 100e9
-    starved = FlowState("f", rate=2e6, weight=1.0, last_update=0.0, last_signal=0.0)
-    out = adjust_rate(starved, 1.0, now=1.0, params=p1, update_interval=1e-6)
-    assert out.rate == 1e6
+    # an empty queue asks for far more than the cap: clamp to exactly the cap
+    trace, p1 = gated_run(90e9, m=1.0, rate_cap=100e9)
+    assert trace.signals[8, 0] == 0.0
+    assert 90e9 * update_ratio(90e9, 0.0, p1) > 100e9
+    assert trace.rates[8, 0] == 100e9
+    # a 100x overload builds a deep queue: clamp to exactly the floor
+    trace, p1 = gated_run(1e12, bandwidth=10e9, m=1.0, rate_floor=1e6,
+                          rate_cap=2e12)
+    assert 1e12 * update_ratio(1e12, trace.signals[8, 0], p1) < 1e6
+    assert trace.rates[8, 0] == 1e6
 
 
 def test_adjust_rate_gate_tolerance_opens_on_the_step():
-    st0 = FlowState("f", rate=10e9, weight=1.0, last_update=0.0, last_signal=0.0)
-    # exactly one interval later: strict gate stays closed, tolerant one opens
-    closed = adjust_rate(st0, 5e-6, now=1e-6, params=P, update_interval=1e-6)
-    assert closed is st0
-    opened = adjust_rate(
-        st0, 5e-6, now=1e-6, params=P, update_interval=1e-6, gate_tolerance=1e-8
-    )
-    assert opened is not st0
+    trace, p = gated_run(10e9)
+    # t = 1 us is exactly one interval after the start: the fixed-step gate
+    # opens on that step, not one step late
+    assert trace.times[8] == pytest.approx(1e-6, rel=1e-12)
+    assert trace.rates[7, 0] == 10e9
+    assert trace.rates[8, 0] == 10e9 * update_ratio(10e9, trace.signals[8, 0], p)
 
 
 def test_lemma_thresholds_for_three_decade_range():

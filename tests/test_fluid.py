@@ -5,11 +5,9 @@ from soze_sim import (
     ControlParams,
     FlowSpec,
     FluidSimulation,
-    LinkState,
     SimConfig,
+    build_topology,
     initial_rate,
-    link_step,
-    max_qd,
     run,
     target_delay,
     water_fill,
@@ -25,36 +23,80 @@ from conftest import (
 )
 
 
-# -- link_step ---------------------------------------------------------------
+# -- queue integration ------------------------------------------------------
+
+def pinned_link_run(*flows, end=10e-6):
+    """Flows at fixed rates on one 100G link (the control gate never opens),
+    sampled every step of 0.125 us."""
+    control = default_params(update_interval=1.0, rate_cap=300e9)
+    cfg = SimConfig(dt=0.125e-6, end_time=end, control=control,
+                    sampling_interval=0.125e-6)
+    return run(single_link(), list(flows), cfg)
+
 
 def test_link_step_growth():
-    link = LinkState("l", queue_delay=10e-6, bandwidth=100e9)
-    out = link_step(link, arrival_rate=200e9, dt=5e-6)
-    assert out.queue_delay == pytest.approx(15e-6, rel=1e-12)
+    trace = pinned_link_run(flow_on_link("f", initial_rate=200e9))
+    # twice the capacity: dD/dt = (200G - 100G) / 100G = 1
+    assert trace.queue_delays[:, 0] == pytest.approx(trace.times, rel=1e-12)
 
 
 def test_link_step_empty_queue_stays_empty():
-    link = LinkState("l", queue_delay=0.0, bandwidth=100e9)
-    assert link_step(link, 50e9, 123e-6).queue_delay == 0.0
+    trace = pinned_link_run(flow_on_link("f", initial_rate=50e9), end=123e-6)
+    assert np.all(trace.queue_delays == 0.0)
 
 
 def test_link_step_clamps_at_zero():
-    link = LinkState("l", queue_delay=2e-6, bandwidth=100e9)
-    assert link_step(link, 50e9, 5e-6).queue_delay == 0.0
+    trace = pinned_link_run(
+        flow_on_link("burst", initial_rate=200e9, stop_time=2e-6),
+        flow_on_link("steady", initial_rate=50e9),
+    )
+    q = trace.queue_delays[:, 0]
+    # 2 us at slope 1.5 builds 3 us of queue; at slope -0.5 it drains by 8 us
+    assert q[16] == pytest.approx(3e-6, rel=1e-12)
+    assert q[40] == pytest.approx(1.5e-6, rel=1e-9)
+    assert np.all(q >= 0.0)
+    assert np.all(q[trace.times > 8.1e-6] == 0.0)
 
 
-# -- max_qd -------------------------------------------------------------------
+# -- maxQD delivery ------------------------------------------------------------
 
 def test_max_qd():
-    states = {
-        "a": LinkState("a", 3e-6, 1e9),
-        "b": LinkState("b", 17e-6, 1e9),
-        "c": LinkState("c", 5e-6, 1e9),
-    }
-    assert max_qd(("a",), states) == 3e-6
-    assert max_qd(("a", "b", "c"), states) == 17e-6
-    idle = {k: LinkState(k, 0.0, 1e9) for k in "abc"}
-    assert max_qd(("a", "b", "c"), idle) == 0.0
+    """A three-hop flow receives the largest lagged queue on its route; a
+    one-hop flow only its own link's."""
+    topo = build_topology({
+        "nodes": ["a", "b", "c", "d"],
+        "links": [
+            {"src": "a", "dst": "b", "bandwidth": 100e9, "prop_delay": 0.25e-6},
+            {"src": "b", "dst": "c", "bandwidth": 50e9, "prop_delay": 0.25e-6},
+            {"src": "c", "dst": "d", "bandwidth": 80e9, "prop_delay": 0.25e-6},
+        ],
+    })
+    flows = [
+        FlowSpec("long", ("a->b", "b->c", "c->d"), initial_rate=110e9),
+        FlowSpec("short", ("a->b",), initial_rate=10e9),
+    ]
+    control = default_params(update_interval=1.0, rate_cap=300e9)
+    cfg = SimConfig(dt=0.125e-6, end_time=20e-6, control=control,
+                    sampling_interval=0.125e-6)
+    eng = FluidSimulation(topo, flows, cfg)
+    trace = eng.run()
+    qd = {lid: trace.queue_delays[:, trace.link_index(lid)] for lid in
+          ("a->b", "b->c", "c->d")}
+    # every hop is overloaded; each queue grows at its own slope, fastest on
+    # the middle hop (110G into 50G)
+    assert qd["a->b"][-1] == pytest.approx(0.2 * 20e-6, rel=1e-9)
+    assert qd["b->c"][-1] == pytest.approx(1.2 * 20e-6, rel=1e-9)
+    assert qd["c->d"][-1] == pytest.approx(0.375 * 20e-6, rel=1e-9)
+    # both signals lag by the flow's base RTT (1.5 us and 0.5 us)
+    i = len(trace.times) - 1
+    assert eng.deliver_signal("long", trace.times[i]) == pytest.approx(
+        qd["b->c"][i - 12], rel=1e-9
+    )
+    assert eng.deliver_signal("short", trace.times[i]) == pytest.approx(
+        qd["a->b"][i - 4], rel=1e-9
+    )
+    # an idle path signals zero
+    assert eng.deliver_signal("long", 1.5e-6) == 0.0
 
 
 # -- initial_rate -------------------------------------------------------------
@@ -259,24 +301,22 @@ def test_csv_round_trip_binary_identical(tmp_path):
 
 
 def test_engine_step_matches_scalar_ops():
-    """One engine step reproduces link_step + max_qd on the same inputs."""
+    """One engine step reproduces the closed-form queue step and maxQD."""
     topo = single_link(prop_delay=0.25e-6)
     flows = [flow_on_link("f", initial_rate=50e9),
              flow_on_link("g", initial_rate=80e9)]
     control = default_params(update_interval=1.0)  # gate never opens
     cfg = SimConfig(dt=0.125e-6, end_time=50e-6, control=control,
                     sampling_interval=0.125e-6)
-    trace = run(topo, flows, cfg)
+    eng = FluidSimulation(topo, flows, cfg)
+    trace = eng.run()
     # queue after the first step: both flows push 130G into 100G
-    manual = link_step(LinkState("a->b", 0.0, 100e9), 130e9, 0.125e-6)
     assert trace.queue_delays[1, 0] == pytest.approx(
-        manual.queue_delay, rel=1e-12
+        0.125e-6 * (130e9 - 100e9) / 100e9, rel=1e-12
     )
-    states = {
-        "a->b": LinkState("a->b", trace.queue_delays[-1, 0], 100e9),
-        "b->a": LinkState("b->a", trace.queue_delays[-1, 1], 100e9),
-    }
-    assert max_qd(("a->b",), states) == trace.queue_delays[-1, 0]
+    # the one-hop signal is that link's queue one base RTT (4 steps) earlier
+    assert trace.signals[-1, 0] == trace.queue_delays[-5, 0]
+    assert eng.deliver_signal("f", trace.times[-1]) == trace.queue_delays[-5, 0]
 
 
 def test_flow_stop_releases_bandwidth():

@@ -51,6 +51,20 @@ def test_nonpositive_bandwidth_rejected():
         })
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("bandwidth", float("inf"), "bandwidth"),
+    ("bandwidth", float("nan"), "bandwidth"),
+    ("prop_delay", float("nan"), "propagation delay"),
+    ("prop_delay", float("inf"), "propagation delay"),
+    ("prop_delay", -1e-6, "propagation delay"),
+])
+def test_nonfinite_link_values_rejected(key, value, field):
+    link = {"src": "a", "dst": "b", "bandwidth": 1e9, "prop_delay": 1e-6}
+    link[key] = value
+    with pytest.raises(TopologyError, match=field):
+        build_topology({"nodes": ["a", "b"], "links": [link]})
+
+
 def test_two_switch_scenario_topology():
     topo = two_switch()
     hosts = [n for n in topo.nodes if n.startswith("h")]
@@ -162,8 +176,9 @@ def test_flow_validation():
         validate_flow(topo, FlowSpec("f", ("h1->s1", "s2->h6"), ((0.0, 1.0),)))
     with pytest.raises(FlowError, match="unknown link"):
         validate_flow(topo, FlowSpec("f", ("nope",), ((0.0, 1.0),)))
-    with pytest.raises(FlowError, match="weights"):
-        validate_flow(topo, FlowSpec("f", ("h1->s1",), ((0.0, -1.0),)))
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(FlowError, match="weights"):
+            validate_flow(topo, FlowSpec("f", ("h1->s1",), ((0.0, bad),)))
     with pytest.raises(FlowError, match="strictly increasing"):
         validate_flow(
             topo, FlowSpec("f", ("h1->s1",), ((0.0, 1.0), (0.0, 2.0)))

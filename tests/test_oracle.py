@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,13 @@ from soze_sim import (
     water_fill,
 )
 
-from conftest import flow_on_link, single_link, two_switch, two_switch_flows
+from conftest import (
+    flow_on_link,
+    scenario_path,
+    single_link,
+    two_switch,
+    two_switch_flows,
+)
 
 
 def brute_force_fill(topology, flows, weights, step=0.01e9):
@@ -232,3 +241,19 @@ def test_fairness_error_cases():
 def test_fairness_error_mismatched_sets_rejected():
     with pytest.raises(ValueError):
         fairness_error({"a": 1.0}, {"b": 1.0})
+
+
+def test_allocation_independent_of_hash_seed():
+    """The oracle's sums must not follow Python's string-hash order: two
+    interpreters with different hash seeds print the same allocation."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "soze_sim.cli", "oracle",
+             scenario_path("fat_tree_random")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
