@@ -3,7 +3,8 @@
 Per integration step of length ``dt`` the engine:
 
 1. applies due events (flow start/stop, weight changes),
-2. sums per-link arrival rates from the active flows,
+2. sums per-link arrival rates by scattering each flow's rate over its
+   route hops (flat ``(hop_flow, hop_link)`` arrays built once),
 3. integrates each link's queueing delay ``dD/dt = (R - B) / B`` (clamped
    at zero),
 4. delivers to each active flow its lagged maxQD signal -- the maximum
@@ -11,14 +12,22 @@ Per integration step of length ``dt`` the engine:
    lets the flow's controller react,
 5. records a trace sample when due.
 
+The queue history that step 4 reads is kept per mode.  With
+``fixed_rtt`` every flow's lag is its constant base RTT, so a ring of
+``ceil(max base RTT / dt) + 3`` rows suffices and memory does not grow with
+``end_time``; flows sharing a base RTT share one interpolated link row.
+``propagation_plus_queue`` keeps every row, because its emission-time
+search starts at time 0.
+
 Identical inputs produce bit-identical traces: there is no hidden state and
 no wall-clock or hash-order dependence.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -112,30 +121,54 @@ class Trace:
         return {fid: float(self.rates[idx, i]) for i, fid in enumerate(self.flow_ids)}
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        """Write the trace; columns and float formatting are fixed so equal
-        runs produce byte-identical files."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """Write the trace as CSV: a header, then per sample the time, the
+        flow rates, the flow signals and the link queue delays.
+
+        Every value is written as ``repr(float(x))``, the shortest text that
+        reads back as the same float, so equal runs produce byte-identical
+        files (``-0.0``, ``nan`` and ``inf`` included).  Rows are formatted
+        in blocks of about ``_CSV_BLOCK_CELLS`` values, each distinct bit
+        pattern of a block formatted once, and streamed to the file.
+        """
         header = ["time_s"]
         header += [f"flow_{fid}_rate_bps" for fid in self.flow_ids]
         header += [f"flow_{fid}_signal_s" for fid in self.flow_ids]
         header += [f"link_{lid}_qdelay_s" for lid in self.link_ids]
-        writer.writerow(header)
-        for i in range(len(self.times)):
-            row = [repr(float(self.times[i]))]
-            row += [repr(float(x)) for x in self.rates[i]]
-            row += [repr(float(x)) for x in self.signals[i]]
-            row += [repr(float(x)) for x in self.queue_delays[i]]
-            writer.writerow(row)
-        _atomic_write(path, buf.getvalue())
+        parts = (self.times[:, None], self.rates, self.signals, self.queue_delays)
+        width = len(header)
+        step = max(1, _CSV_BLOCK_CELLS // width)
+        with _atomic_open(path) as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for lo in range(0, len(self.times), step):
+                block = np.concatenate(
+                    [p[lo:lo + step] for p in parts], axis=1, dtype=float
+                )
+                bits, inverse = np.unique(
+                    block.ravel().view(np.int64), return_inverse=True
+                )
+                text = np.array(
+                    [repr(x) for x in bits.view(np.float64).tolist()], dtype=object
+                )
+                rows = text.take(inverse).reshape(-1, width).tolist()
+                fh.writelines(",".join(r) + "\n" for r in rows)
 
 
-def _atomic_write(path: str | os.PathLike, text: str) -> None:
+_CSV_BLOCK_CELLS = 1 << 15
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str | os.PathLike):
+    """A text file that replaces ``path`` once the ``with`` block succeeds."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        yield fh
     os.replace(tmp, path)
+
+
+def _atomic_write(path: str | os.PathLike, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def initial_rate(
@@ -201,17 +234,31 @@ class FluidSimulation:
         lidx = {lid: i for i, lid in enumerate(self.link_ids)}
 
         self.bw = np.array([l.bandwidth for l in topology.links])
-        self.incidence = np.zeros((nl, nf))
-        max_route = max(len(f.route) for f in flows)
-        self.route_idx = np.zeros((nf, max_route), dtype=np.intp)
-        self.route_pad = np.zeros((nf, max_route), dtype=bool)  # True = real hop
-        for j, f in enumerate(flows):
-            for h, lid in enumerate(f.route):
-                self.incidence[lidx[lid], j] = 1.0
-                self.route_idx[j, h] = lidx[lid]
-                self.route_pad[j, h] = True
+        hops = np.array([lidx[lid] for f in flows for lid in f.route],
+                        dtype=np.intp)
+        lengths = np.array([len(f.route) for f in flows])
+        first = np.cumsum(lengths) - lengths
+        max_route = int(lengths.max())
+        self.route_pad = np.arange(max_route) < lengths[:, None]  # True = real hop
+        # padded with the last hop, so a max over the row ignores padding
+        self.route_idx = hops[
+            first[:, None] + np.minimum(np.arange(max_route), lengths[:, None] - 1)
+        ]
+        # flat route hops for the arrival scatter, in flow order: hop h
+        # carries flow _hop_flow[h] over link _hop_link[h]; a route crossing
+        # a link twice loads it once
+        hop_flow = np.repeat(np.arange(nf), lengths)
+        _, once = np.unique(hop_flow * nl + hops, return_index=True)
+        once.sort()
+        self._hop_link, self._hop_flow = hops[once], hop_flow[once]
 
         self.base_rtt = np.array([base_rtt(topology, f.route) for f in flows])
+        # flows grouped by exact base RTT: group g lags by _lags[g], and hop h
+        # of flow j reads entry _route_key[h, j] of the (group, link) rows
+        self._lags = np.array(sorted(set(self.base_rtt.tolist())))
+        self._lag_group = np.searchsorted(self._lags, self.base_rtt)
+        self._route_key = self._lag_group * nl + self.route_idx.T
+
         self.caps = np.array([resolve_cap(f, self.params, topology) for f in flows])
         self.init_rates = np.array(
             [initial_rate(f, self.params, topology) for f in flows]
@@ -244,6 +291,21 @@ class FluidSimulation:
             samp = finest
         self.sample_every = max(1, int(round(samp / config.dt)))
         self.sampling_interval = self.sample_every * config.dt
+        self._n_samples = self.n_steps // self.sample_every + 1
+        if config.signal_delay_mode == "fixed_rtt":
+            self._hist_rows = math.ceil(float(self._lags[-1]) / config.dt) + 3
+        else:
+            self._hist_rows = self.n_steps + 1
+
+        need = 8 * (self._n_samples * (1 + 2 * nf + nl) + self._hist_rows * nl)
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > phys:
+            raise SimConfigError(
+                f"sim.end_time / sim.sampling_interval: the trace and history "
+                f"buffers need {need / 2**30:.3g} GiB, more than the "
+                f"{phys / 2**30:.3g} GiB of physical memory; shorten "
+                "sim.end_time or raise sim.sampling_interval"
+            )
 
         self._build_events()
         self._ran = False
@@ -280,13 +342,23 @@ class FluidSimulation:
         vals = np.where(self.route_pad, self._interp_queue(pos, filled), 0.0)
         return vals.sum(axis=1)
 
+    def _lag_index(self, t: float, filled: int, lags: np.ndarray):
+        """History positions ``(t - lag) / dt``: rows ``i0``, ``i1`` and the
+        interpolation weight of ``i1``."""
+        pos = np.clip((t - lags) / self.config.dt, 0.0, float(filled))
+        i0 = np.floor(pos).astype(np.intp)
+        return i0, np.minimum(i0 + 1, filled), (pos - i0)[:, None]
+
     def _signals(self, t: float, filled: int) -> np.ndarray:
-        dt = self.config.dt
         if self.config.signal_delay_mode == "fixed_rtt":
-            emit = t - self.base_rtt
+            i0, i1, frac = self._lag_index(t, filled, self._lags)
+            ring = self._hist_rows
+            rows = self._hist[i0 % ring] * (1.0 - frac) + self._hist[i1 % ring] * frac
+            sig = rows.take(self._route_key).max(axis=0)
         else:
             # solve emit + base_rtt + route_queue(emit) = t by bisection;
             # arrival time is nondecreasing in emit since dD/dt >= -1
+            dt = self.config.dt
             lo = np.zeros_like(self.base_rtt)
             hi = np.maximum(t - self.base_rtt, 0.0)
             for _ in range(48):
@@ -297,21 +369,40 @@ class FluidSimulation:
                 late = arrive > t
                 hi = np.where(late, mid, hi)
                 lo = np.where(late, lo, mid)
-            emit = lo
-        vals = self._interp_queue(emit / dt, filled)
-        vals = np.where(self.route_pad, vals, -1.0)
-        sig = np.maximum(vals.max(axis=1), 0.0)
+            vals = self._interp_queue(lo / dt, filled)
+            sig = np.where(self.route_pad, vals, -1.0).max(axis=1)
         # no feedback before the first ACK returns
         sig[t < self._eligible_from] = 0.0
         return sig
 
     def deliver_signal(self, flow_id: str, t: float) -> float:
-        """The maxQD signal the sender of ``flow_id`` holds at time ``t``."""
+        """The maxQD signal the sender of ``flow_id`` holds at time ``t``.
+
+        ``propagation_plus_queue`` keeps the whole queue history and answers
+        for any ``t``.  ``fixed_rtt`` keeps only the last
+        ``R = ceil(max base RTT / dt) + 3`` queue rows: after ``n`` steps,
+        for a flow with base RTT ``L`` it answers for ``t`` from
+        ``(n - R + 1) * dt + L`` on (a ``t`` past the run reads the last
+        step), and for any ``t`` before the flow's first ACK, where the
+        signal is 0.  Earlier ``t`` raise ValueError, because their lagged
+        rows were overwritten.
+        """
         if not hasattr(self, "_hist"):
             raise RuntimeError("simulation has not started")
         j = self.flow_ids.index(flow_id)
-        sig = self._signals(float(t), self._filled)
-        return float(sig[j])
+        t = float(t)
+        fixed = self.config.signal_delay_mode == "fixed_rtt"
+        if fixed and t >= self._eligible_from[j]:
+            lag = float(self._lags[self._lag_group[j]])
+            i0, _, _ = self._lag_index(t, self._filled, np.array([lag]))
+            oldest = self._filled - self._hist_rows + 1
+            if i0[0] < oldest:
+                raise ValueError(
+                    f"flow {flow_id!r} at t={t!r}: its lagged queue rows were "
+                    f"overwritten; the history answers from "
+                    f"t={oldest * self.config.dt + lag!r} on"
+                )
+        return float(self._signals(t, self._filled)[j])
 
     # -- main loop ----------------------------------------------------------
 
@@ -333,7 +424,7 @@ class FluidSimulation:
         cwnd = np.zeros(nf)
         qd = np.zeros(nl)
 
-        self._hist = np.zeros((n_steps + 1, nl))
+        self._hist = np.zeros((self._hist_rows, nl))
         self._filled = 0
         self._eligible_from = self.base_rtt + np.array(
             [f.start_time for f in self.flows]
@@ -345,7 +436,7 @@ class FluidSimulation:
         ev = self._events
         ev_ptr = 0
 
-        n_samples = n_steps // self.sample_every + 1
+        n_samples = self._n_samples
         out_t = np.empty(n_samples)
         out_rates = np.empty((n_samples, nf))
         out_sig = np.empty((n_samples, nf))
@@ -384,32 +475,35 @@ class FluidSimulation:
 
         m = self.params.m
         gate_after = self.gate - tol
+        hop_link, hop_flow = self._hop_link, self._hop_flow
+        per_rtt = cfg.update_mode == "per_rtt"
 
         for k in range(n_steps):
             t_next = (k + 1) * dt
             if ev_ptr < len(ev) and ev[ev_ptr][0] <= k:
                 apply_events(k, k * dt)
 
-            arrival = self.incidence @ rates
+            arrival = np.bincount(hop_link, rates.take(hop_flow), nl)
             qd += dt * (arrival - self.bw) / self.bw
             np.maximum(qd, 0.0, out=qd)
-            self._hist[k + 1] = qd
+            self._hist[(k + 1) % self._hist_rows] = qd
             self._filled = k + 1
 
             cur_sig = self._signals(t_next, k + 1)
 
             due = active & (t_next - last_update > gate_after)
-            if cfg.update_mode == "per_rtt":
+            if per_rtt:
                 mask = due & self.is_soze
-                exponent = None
             else:
                 live = active & self.is_soze
                 pkt_acc[live] += dt * rates[live] / cfg.packet_size
                 whole = np.floor(pkt_acc)
                 mask = live & (whole >= 1.0)
-                exponent = np.minimum(m * whole[mask], 1.0)
-                pkt_acc[mask] -= whole[mask]
             if mask.any():
+                exponent = None
+                if not per_rtt:
+                    exponent = np.minimum(m * whole[mask], 1.0)
+                    pkt_acc[mask] -= whole[mask]
                 s = rates[mask] / weights[mask]
                 ratio = update_ratio(s, cur_sig[mask], self.params, exponent)
                 rates[mask] = np.clip(

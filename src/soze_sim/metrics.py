@@ -49,8 +49,20 @@ def _slice(trace: Trace, start: float | None, end: float | None):
     return lo, hi
 
 
-def _fairness_series(trace: Trace, allocation: AllocationResult, lo: int, hi: int):
-    idx = [trace.flow_index(fid) for fid in allocation.rates]
+def _columns(trace: Trace) -> tuple[dict[str, int], dict[str, list[int]]]:
+    """Flow id -> trace column, and link id -> the columns of the flows that
+    cross it in flow order, from one pass over the routes."""
+    col = {fid: i for i, fid in enumerate(trace.flow_ids)}
+    on_link: dict[str, list[int]] = {lid: [] for lid in trace.link_ids}
+    for fid, route in trace.routes.items():
+        for lid in dict.fromkeys(route):
+            on_link[lid].append(col[fid])
+    return col, on_link
+
+
+def _fairness_series(trace: Trace, allocation: AllocationResult, lo: int, hi: int,
+                     col: dict[str, int]):
+    idx = [col[fid] for fid in allocation.rates]
     oracle = np.array([allocation.rates[fid] for fid in allocation.rates])
     sim = trace.rates[lo:hi, idx]
     return np.max(np.abs(sim - oracle) / oracle, axis=1)
@@ -97,7 +109,8 @@ def convergence_time(
             f"({times[-1] - times[0]:.3g}s < {win_dur:.3g}s)"
         )
 
-    errs = _fairness_series(trace, allocation, lo, hi)
+    col, on_link = _columns(trace)
+    errs = _fairness_series(trace, allocation, lo, hi, col)
     spacing = trace.sampling_interval
     need = max(1, int(math.ceil(win_dur / spacing - 1e-9)))
 
@@ -120,10 +133,10 @@ def convergence_time(
 
     steady_lo = int(np.searchsorted(times, times[-1] - win_dur - 1e-15, "left"))
     steady = slice(lo + steady_lo, hi)
-    util = _utilization_all(trace, steady)
+    util = _utilization_all(trace, steady, on_link)
     osc: dict[str, float] = {}
     for fid in flow_ids:
-        series = trace.rates[steady, trace.flow_index(fid)]
+        series = trace.rates[steady, col[fid]]
         mean = float(series.mean())
         osc[fid] = float(series.std() / mean) if mean > 0 else 0.0
 
@@ -137,11 +150,11 @@ def convergence_time(
     )
 
 
-def _utilization_all(trace: Trace, rows: slice) -> dict[str, float]:
+def _utilization_all(trace: Trace, rows: slice,
+                     on_link: dict[str, list[int]]) -> dict[str, float]:
     out: dict[str, float] = {}
     for lid in trace.link_ids:
-        fidx = [trace.flow_index(fid) for fid, route in trace.routes.items()
-                if lid in route]
+        fidx = on_link[lid]
         if not fidx:
             out[lid] = 0.0
             continue
@@ -159,8 +172,7 @@ def utilization(trace: Trace, link: str, window: tuple[float, float]) -> float:
     if link not in trace.link_ids:
         raise ValueError(f"unknown link {link!r}")
     lo, hi = _slice(trace, window[0], window[1])
-    fidx = [trace.flow_index(fid) for fid, route in trace.routes.items()
-            if link in route]
+    fidx = _columns(trace)[1][link]
     if not fidx:
         return 0.0
     total = trace.rates[lo:hi, fidx].sum(axis=1)

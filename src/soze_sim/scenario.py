@@ -370,12 +370,16 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     try:
         control = _numbers(ControlParams, ctrl_raw, "control")
         control.validate()
+    except ScenarioError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"control: {exc}") from exc
 
     try:
         aimd = _numbers(AimdConfig, aimd_raw, "aimd")
         aimd.validate()
+    except ScenarioError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"aimd: {exc}") from exc
 
@@ -397,6 +401,8 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
             aimd=aimd,
         )
         sim.validate()
+    except ScenarioError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"sim: {exc}") from exc
 

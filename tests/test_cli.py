@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import time
 
 import pytest
 import yaml
@@ -241,6 +242,20 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
     assert main(["run", path, "--set", setting, "--out", tmp_out]) == 2
     err = capsys.readouterr().err
     assert field in err
+    # the section prefix is named once, not once per wrapping layer
+    assert err.count(field.split(".")[0]) == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(tmp_out, "small.trace.csv"))
+
+
+def test_oversize_run_exits_2_before_allocating(tmp_out, capsys):
+    path = write_scenario(tmp_out, SMALL)
+    t0 = time.perf_counter()
+    assert main(["run", path, "--set", "sim.end_time=1e3",
+                 "--out", tmp_out]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert "sim.end_time" in err and "sim.sampling_interval" in err
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(tmp_out, "small.trace.csv"))
 

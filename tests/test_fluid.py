@@ -1,3 +1,8 @@
+import csv
+import io
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +12,15 @@ from soze_sim import (
     FluidSimulation,
     SimConfig,
     build_topology,
+    fat_tree,
     initial_rate,
+    route_flow,
     run,
     target_delay,
     water_fill,
 )
-from soze_sim.fluid import SimConfigError
+from soze_sim.fluid import SimConfigError, Trace
+from soze_sim.model import hosts_of
 
 from conftest import (
     default_params,
@@ -95,8 +103,11 @@ def test_max_qd():
     assert eng.deliver_signal("short", trace.times[i]) == pytest.approx(
         qd["a->b"][i - 4], rel=1e-9
     )
-    # an idle path signals zero
-    assert eng.deliver_signal("long", 1.5e-6) == 0.0
+    # an idle path signals zero; asked of a run that ends at the query time,
+    # since a fixed-lag engine keeps only its last few RTTs of queue history
+    idle = FluidSimulation(topo, flows, replace(cfg, end_time=1.5e-6))
+    idle.run()
+    assert idle.deliver_signal("long", 1.5e-6) == 0.0
 
 
 # -- initial_rate -------------------------------------------------------------
@@ -153,18 +164,137 @@ def pinned_rate_setup(mode="fixed_rtt"):
     return topo, [f_a, f_b], cfg
 
 
-def test_signal_lags_queue_by_exactly_base_rtt():
-    topo, flows, cfg = pinned_rate_setup()
-    eng = FluidSimulation(topo, flows, cfg)
+def signal_at(flow_id, t, mode="fixed_rtt"):
+    """``deliver_signal`` at ``t`` from a pinned-rate run that ends at ``t``:
+    a fixed-lag engine keeps only its last few RTTs of queue history."""
+    topo, flows, cfg = pinned_rate_setup(mode)
+    eng = FluidSimulation(topo, flows, replace(cfg, end_time=t))
     eng.run()
+    return eng.deliver_signal(flow_id, t)
+
+
+def test_signal_lags_queue_by_exactly_base_rtt():
     lag = 0.5e-6  # base RTT of the one-hop route
     t0 = 20e-6
     # before the step reaches the sender, the delivered signal is still zero
-    assert eng.deliver_signal("fa", t0 + lag - 1e-9) == 0.0
+    assert signal_at("fa", t0 + lag - 1e-9) == 0.0
     # afterwards the signal reproduces the ramp, shifted by exactly the lag
     for t in (t0 + lag + 1e-6, t0 + lag + 7e-6, t0 + lag + 20e-6):
         expected = 0.5 * (t - lag - t0)
-        assert eng.deliver_signal("fa", t) == pytest.approx(expected, rel=1e-9)
+        assert signal_at("fa", t) == pytest.approx(expected, rel=1e-9)
+
+
+def test_signal_for_overwritten_history_raises():
+    topo, flows, cfg = pinned_rate_setup()
+    eng = FluidSimulation(topo, flows, cfg)
+    eng.run()
+    # the run ends at 60us; 30us lies far behind the kept history
+    with pytest.raises(ValueError, match="overwritten"):
+        eng.deliver_signal("fa", 30e-6)
+    # the queue-lag mode keeps every row and still answers
+    eng = FluidSimulation(topo, flows,
+                          replace(cfg, signal_delay_mode="propagation_plus_queue"))
+    eng.run()
+    assert eng.deliver_signal("fa", 30e-6) > 0.0
+
+
+def test_fixed_lag_history_does_not_grow_with_end_time():
+    topo, flows, cfg = pinned_rate_setup()
+    rows = []
+    for end in (10e-6, 60e-6, 600e-6):
+        eng = FluidSimulation(topo, flows, replace(cfg, end_time=end))
+        eng.run()
+        rows.append(eng._hist.shape[0])
+    assert rows[0] == rows[1] == rows[2]
+
+
+def parent_signals(hist, route_idx, route_pad, rtt, eligible, t, filled, dt):
+    """maxQD per flow by per-(flow, hop) interpolation over the full queue
+    history ``hist`` (row k: queues after step k), as the engine computed it
+    before the fixed-lag history became a ring."""
+    emit = t - rtt
+    pos = np.clip(emit / dt, 0.0, float(filled))
+    i0 = np.floor(pos).astype(np.intp)
+    i1 = np.minimum(i0 + 1, filled)
+    frac = (pos - i0)[:, None]
+    lo = hist[i0[:, None], route_idx]
+    hi = hist[i1[:, None], route_idx]
+    vals = np.where(route_pad, lo * (1.0 - frac) + hi * frac, -1.0)
+    sig = np.maximum(vals.max(axis=1), 0.0)
+    sig[t < eligible] = 0.0
+    return sig
+
+
+def test_signals_equal_full_history_reference():
+    """Every step's delivered signal equals the per-hop reference computed
+    from the full queue history, on routes with two distinct base RTTs
+    (1.2 us over three hops, 0.8 us over two) and staggered starts."""
+    topo = two_switch()
+    flows = [replace(f, start_time=s, weight_schedule=((s, w),),
+                     stop_time=e)
+             for f, s, w, e in zip(two_switch_flows(), (0, 0, 7e-6, 0, 13e-6, 0),
+                                   (1, 2, 1, 3, 1, 1),
+                                   (None, 60e-6, None, None, None, None))]
+    dt = 0.2e-6
+    cfg = SimConfig(dt=dt, end_time=100e-6, control=ControlParams(),
+                    sampling_interval=dt)
+    eng = FluidSimulation(topo, flows, cfg)
+    trace = eng.run()
+    lidx = {lid: i for i, lid in enumerate(trace.link_ids)}
+    width = max(len(f.route) for f in flows)
+    route_idx = np.zeros((len(flows), width), dtype=np.intp)
+    route_pad = np.zeros((len(flows), width), dtype=bool)
+    for j, f in enumerate(flows):
+        for h, lid in enumerate(f.route):
+            route_idx[j, h] = lidx[lid]
+            route_pad[j, h] = True
+    rtt = np.array([trace.base_rtts[f.id] for f in flows])
+    assert len(set(rtt)) == 2
+    eligible = rtt + np.array([f.start_time for f in flows])
+    hist = trace.queue_delays
+    assert trace.signals.any()
+    for k in range(1, len(trace.times)):
+        ref = parent_signals(hist, route_idx, route_pad, rtt, eligible,
+                             trace.times[k], k, dt)
+        active = trace.rates[k] > 0
+        assert np.array_equal(trace.signals[k], np.where(active, ref, 0.0)), k
+    filled = len(trace.times) - 1
+    for t in (trace.times[-1], trace.times[-1] - 0.3 * dt,
+              trace.times[-1] - 1.7 * dt):
+        ref = parent_signals(hist, route_idx, route_pad, rtt, eligible,
+                             t, filled, dt)
+        for j, f in enumerate(flows):
+            assert eng.deliver_signal(f.id, t) == ref[j]
+
+
+def test_first_step_queue_matches_dense_incidence_product():
+    topo = fat_tree(4, 100e9, 0.5e-6)
+    hosts = hosts_of(topo)
+    rng = np.random.default_rng(11)
+    flows = []
+    for i in range(60):
+        src, dst = rng.choice(len(hosts), size=2, replace=False)
+        flows.append(FlowSpec(
+            f"r{i}", route_flow(topo, hosts[src], hosts[dst], seed=3,
+                                flow_id=f"r{i}"),
+            initial_rate=float(rng.uniform(1e9, 60e9)),
+        ))
+    dt = 0.1e-6
+    cfg = SimConfig(dt=dt, end_time=10 * dt, sampling_interval=dt,
+                    control=default_params(update_interval=1.0, rate_cap=300e9))
+    trace = run(topo, flows, cfg)
+    incidence = np.zeros((len(trace.link_ids), len(flows)))
+    for j, f in enumerate(flows):
+        for lid in f.route:
+            incidence[trace.link_index(lid), j] = 1.0
+    bw = np.array([trace.bandwidths[lid] for lid in trace.link_ids])
+    arrival = incidence @ trace.rates[0]
+    expected = np.maximum(dt * (arrival - bw) / bw, 0.0)
+    assert (expected > 0).sum() >= 3
+    # the sums add in another order; (arrival - bw) cancels, so the bound is
+    # relative to the arrival term rather than to the difference
+    err = np.abs(trace.queue_delays[1] - expected)
+    assert np.all(err <= 1e-15 * dt * arrival / bw)
 
 
 def test_signal_is_zero_before_first_ack():
@@ -298,6 +428,62 @@ def test_csv_round_trip_binary_identical(tmp_path):
         "flow_f0_signal_s,flow_f1_signal_s,"
         "link_a->b_qdelay_s,link_b->a_qdelay_s"
     )
+
+
+def parent_csv(trace, path):
+    """The row-by-row CSV writer that ``Trace.to_csv`` replaced, kept as
+    the byte-for-byte reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["time_s"]
+    header += [f"flow_{fid}_rate_bps" for fid in trace.flow_ids]
+    header += [f"flow_{fid}_signal_s" for fid in trace.flow_ids]
+    header += [f"link_{lid}_qdelay_s" for lid in trace.link_ids]
+    writer.writerow(header)
+    for i in range(len(trace.times)):
+        row = [repr(float(trace.times[i]))]
+        row += [repr(float(x)) for x in trace.rates[i]]
+        row += [repr(float(x)) for x in trace.signals[i]]
+        row += [repr(float(x)) for x in trace.queue_delays[i]]
+        writer.writerow(row)
+    with open(path, "w") as fh:
+        fh.write(buf.getvalue())
+
+
+@pytest.mark.parametrize("nf, nl, rows", [
+    (16400, 2, 3),      # a row wider than one formatting block
+    (2, 1, 12000),      # many rows per block, several blocks
+])
+def test_csv_matches_row_by_row_writer(tmp_path, nf, nl, rows):
+    rng = np.random.default_rng(nf + rows)
+
+    def values(shape):
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        flat = out.reshape(-1)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                            5e-324, 1.7976931348623157e308,
+                            np.int64(0x7FF8000000000001).view(np.float64)])
+        at = rng.choice(flat.size, size=min(flat.size, 400), replace=False)
+        flat[at] = special[rng.integers(0, len(special), at.size)]
+        flat[-1] = 1e9  # values repeat within a block
+        flat[:3] = 1e9
+        return out
+
+    trace = Trace(
+        times=np.arange(rows) * 1.25e-7,
+        flow_ids=tuple(f"f{i}" for i in range(nf)),
+        link_ids=tuple(f"l{i}" for i in range(nl)),
+        rates=values((rows, nf)),
+        signals=values((rows, nf)),
+        queue_delays=values((rows, nl)),
+        events=(),
+    )
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    trace.to_csv(got)
+    parent_csv(trace, ref)
+    assert got.read_bytes() == ref.read_bytes()
+    assert b"-0.0," in got.read_bytes() and b"nan" in got.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["got.csv", "ref.csv"]
 
 
 def test_engine_step_matches_scalar_ops():
