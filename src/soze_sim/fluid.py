@@ -14,8 +14,11 @@ Per integration step of length ``dt`` the engine:
 
 The queue history that step 4 reads is kept per mode.  With
 ``fixed_rtt`` every flow's lag is its constant base RTT, so a ring of
-``ceil(max base RTT / dt) + 3`` rows suffices and memory does not grow with
-``end_time``; flows sharing a base RTT share one interpolated link row.
+``ceil(max base RTT / dt) + 3`` rows (at most ``n_steps + 1``) suffices and
+memory does not grow with ``end_time``.  When there are few distinct base
+RTTs (groups x links no more than the padded route hops), flows sharing a
+base RTT share one interpolated link row; otherwise each (flow, hop) is
+interpolated on its own.  Either way a step costs O(route hops + links).
 ``propagation_plus_queue`` keeps every row, because its emission-time
 search starts at time 0.
 
@@ -158,11 +161,18 @@ _CSV_BLOCK_CELLS = 1 << 15
 
 @contextlib.contextmanager
 def _atomic_open(path: str | os.PathLike):
-    """A text file that replaces ``path`` once the ``with`` block succeeds."""
+    """A text file that replaces ``path`` once the ``with`` block succeeds;
+    if the block fails, the partial file is removed and ``path`` is left as
+    it was."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        yield fh
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -253,11 +263,15 @@ class FluidSimulation:
         self._hop_link, self._hop_flow = hops[once], hop_flow[once]
 
         self.base_rtt = np.array([base_rtt(topology, f.route) for f in flows])
-        # flows grouped by exact base RTT: group g lags by _lags[g], and hop h
-        # of flow j reads entry _route_key[h, j] of the (group, link) rows
+        # flows grouped by exact base RTT: group g lags by _lags[g].  With few
+        # groups the fixed-lag signal interpolates one link row per group and
+        # hop h of flow j reads entry _route_key[h, j] of those rows; with
+        # more groups than that costs, it interpolates per (flow, hop)
         self._lags = np.array(sorted(set(self.base_rtt.tolist())))
         self._lag_group = np.searchsorted(self._lags, self.base_rtt)
-        self._route_key = self._lag_group * nl + self.route_idx.T
+        self._grouped = len(self._lags) * nl <= self.route_idx.size
+        if self._grouped:
+            self._route_key = self._lag_group * nl + self.route_idx.T
 
         self.caps = np.array([resolve_cap(f, self.params, topology) for f in flows])
         self.init_rates = np.array(
@@ -293,7 +307,9 @@ class FluidSimulation:
         self.sampling_interval = self.sample_every * config.dt
         self._n_samples = self.n_steps // self.sample_every + 1
         if config.signal_delay_mode == "fixed_rtt":
-            self._hist_rows = math.ceil(float(self._lags[-1]) / config.dt) + 3
+            self._hist_rows = min(
+                math.ceil(float(self._lags[-1]) / config.dt) + 3, self.n_steps + 1
+            )
         else:
             self._hist_rows = self.n_steps + 1
 
@@ -351,10 +367,17 @@ class FluidSimulation:
 
     def _signals(self, t: float, filled: int) -> np.ndarray:
         if self.config.signal_delay_mode == "fixed_rtt":
-            i0, i1, frac = self._lag_index(t, filled, self._lags)
             ring = self._hist_rows
-            rows = self._hist[i0 % ring] * (1.0 - frac) + self._hist[i1 % ring] * frac
-            sig = rows.take(self._route_key).max(axis=0)
+            if self._grouped:
+                i0, i1, frac = self._lag_index(t, filled, self._lags)
+                rows = (self._hist[i0 % ring] * (1.0 - frac)
+                        + self._hist[i1 % ring] * frac)
+                sig = rows.take(self._route_key).max(axis=0)
+            else:
+                i0, i1, frac = self._lag_index(t, filled, self.base_rtt)
+                lo = self._hist[(i0 % ring)[:, None], self.route_idx]
+                hi = self._hist[(i1 % ring)[:, None], self.route_idx]
+                sig = (lo * (1.0 - frac) + hi * frac).max(axis=1)
         else:
             # solve emit + base_rtt + route_queue(emit) = t by bisection;
             # arrival time is nondecreasing in emit since dD/dt >= -1
@@ -380,7 +403,8 @@ class FluidSimulation:
 
         ``propagation_plus_queue`` keeps the whole queue history and answers
         for any ``t``.  ``fixed_rtt`` keeps only the last
-        ``R = ceil(max base RTT / dt) + 3`` queue rows: after ``n`` steps,
+        ``R = min(ceil(max base RTT / dt) + 3, n_steps + 1)`` queue rows
+        (all of them when ``R = n_steps + 1``): after ``n`` steps,
         for a flow with base RTT ``L`` it answers for ``t`` from
         ``(n - R + 1) * dt + L`` on (a ``t`` past the run reads the last
         step), and for any ``t`` before the flow's first ACK, where the

@@ -251,7 +251,7 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
 def test_oversize_run_exits_2_before_allocating(tmp_out, capsys):
     path = write_scenario(tmp_out, SMALL)
     t0 = time.perf_counter()
-    assert main(["run", path, "--set", "sim.end_time=1e3",
+    assert main(["run", path, "--set", "sim.end_time=1e7",
                  "--out", tmp_out]) == 2
     assert time.perf_counter() - t0 < 10.0
     err = capsys.readouterr().err

@@ -208,6 +208,19 @@ def test_fixed_lag_history_does_not_grow_with_end_time():
     assert rows[0] == rows[1] == rows[2]
 
 
+def test_fixed_lag_history_never_exceeds_the_run():
+    """A base RTT longer than the run keeps one row per step, no more."""
+    _, flows, cfg = pinned_rate_setup()
+    topo = single_link(prop_delay=50e-6)   # base RTT 100us, run 60us
+    eng = FluidSimulation(topo, flows, cfg)
+    trace = eng.run()
+    assert eng._hist.shape[0] == eng.n_steps + 1
+    assert trace.queue_delays.max() > 0.0
+    # no ACK has returned yet, and no time is behind the kept history
+    for t in trace.times:
+        assert eng.deliver_signal("fa", t) == 0.0
+
+
 def parent_signals(hist, route_idx, route_pad, rtt, eligible, t, filled, dt):
     """maxQD per flow by per-(flow, hop) interpolation over the full queue
     history ``hist`` (row k: queues after step k), as the engine computed it
@@ -225,13 +238,19 @@ def parent_signals(hist, route_idx, route_pad, rtt, eligible, t, filled, dt):
     return sig
 
 
-def test_signals_equal_full_history_reference():
+@pytest.mark.parametrize("copies, grouped", [
+    (1, False),     # 2 RTT groups x 14 links > 6 x 3 route cells: per hop
+    (2, True),      # 12 x 3 route cells >= 28: one link row per RTT group
+])
+def test_signals_equal_full_history_reference(copies, grouped):
     """Every step's delivered signal equals the per-hop reference computed
     from the full queue history, on routes with two distinct base RTTs
-    (1.2 us over three hops, 0.8 us over two) and staggered starts."""
+    (1.2 us over three hops, 0.8 us over two) and staggered starts, whether
+    the engine interpolates per RTT group or per (flow, hop)."""
     topo = two_switch()
-    flows = [replace(f, start_time=s, weight_schedule=((s, w),),
-                     stop_time=e)
+    flows = [replace(f, id=f"{f.id}_{c}", start_time=s,
+                     weight_schedule=((s, w),), stop_time=e)
+             for c in range(copies)
              for f, s, w, e in zip(two_switch_flows(), (0, 0, 7e-6, 0, 13e-6, 0),
                                    (1, 2, 1, 3, 1, 1),
                                    (None, 60e-6, None, None, None, None))]
@@ -239,6 +258,7 @@ def test_signals_equal_full_history_reference():
     cfg = SimConfig(dt=dt, end_time=100e-6, control=ControlParams(),
                     sampling_interval=dt)
     eng = FluidSimulation(topo, flows, cfg)
+    assert eng._grouped == grouped
     trace = eng.run()
     lidx = {lid: i for i, lid in enumerate(trace.link_ids)}
     width = max(len(f.route) for f in flows)
@@ -484,6 +504,27 @@ def test_csv_matches_row_by_row_writer(tmp_path, nf, nl, rows):
     assert got.read_bytes() == ref.read_bytes()
     assert b"-0.0," in got.read_bytes() and b"nan" in got.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["got.csv", "ref.csv"]
+
+
+def test_csv_failure_leaves_no_partial_file(tmp_path):
+    """A trace that fails while its rows are being written leaves the old
+    file in place and no temp file behind."""
+    rows = 12000
+    trace = Trace(
+        times=np.arange(rows) * 1.25e-7,
+        flow_ids=("f0", "f1"),
+        link_ids=("l0",),
+        rates=np.ones((rows // 2, 2)),     # too short: a later block fails
+        signals=np.zeros((rows, 2)),
+        queue_delays=np.zeros((rows, 1)),
+        events=(),
+    )
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    with pytest.raises(ValueError):
+        trace.to_csv(path)
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert path.read_text() == "old\n"
 
 
 def test_engine_step_matches_scalar_ops():
