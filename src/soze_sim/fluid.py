@@ -15,12 +15,12 @@ Per integration step of length ``dt`` the engine:
 The queue history that step 4 reads is kept per mode.  With
 ``fixed_rtt`` every flow's lag is its constant base RTT, so a ring of
 ``ceil(max base RTT / dt) + 3`` rows (at most ``n_steps + 1``) suffices and
-memory does not grow with ``end_time``.  When there are few distinct base
-RTTs (groups x links no more than the padded route hops), flows sharing a
-base RTT share one interpolated link row; otherwise each (flow, hop) is
-interpolated on its own.  Either way a step costs O(route hops + links).
-``propagation_plus_queue`` keeps every row, because its emission-time
-search starts at time 0.
+memory does not grow with ``end_time``.  A step interpolates each distinct
+(base RTT, link) pair that some route uses once -- at most
+min(distinct base RTTs x links, route hops) pairs -- and takes each flow's
+max over its hops, so it costs O(route hops + links) on any mix of base
+RTTs.  ``propagation_plus_queue`` keeps every row, because its
+emission-time search starts at time 0.
 
 Identical inputs produce bit-identical traces: there is no hidden state and
 no wall-clock or hash-order dependence.
@@ -211,6 +211,10 @@ def resolve_params(
     return resolved
 
 
+# added to history rows i0, gives the stacked rows (i0, i0 + 1)
+_NEXT_ROW = np.array([[0], [1]])
+
+
 class FluidSimulation:
     """One simulation run; owns all mutable state for that run.
 
@@ -255,23 +259,19 @@ class FluidSimulation:
             first[:, None] + np.minimum(np.arange(max_route), lengths[:, None] - 1)
         ]
         # flat route hops for the arrival scatter, in flow order: hop h
-        # carries flow _hop_flow[h] over link _hop_link[h]; a route crossing
-        # a link twice loads it once
-        hop_flow = np.repeat(np.arange(nf), lengths)
-        _, once = np.unique(hop_flow * nl + hops, return_index=True)
-        once.sort()
-        self._hop_link, self._hop_flow = hops[once], hop_flow[once]
+        # carries flow _hop_flow[h] over link _hop_link[h]
+        self._hop_link, self._hop_flow = hops, np.repeat(np.arange(nf), lengths)
 
         self.base_rtt = np.array([base_rtt(topology, f.route) for f in flows])
-        # flows grouped by exact base RTT: group g lags by _lags[g].  With few
-        # groups the fixed-lag signal interpolates one link row per group and
-        # hop h of flow j reads entry _route_key[h, j] of those rows; with
-        # more groups than that costs, it interpolates per (flow, hop)
-        self._lags = np.array(sorted(set(self.base_rtt.tolist())))
-        self._lag_group = np.searchsorted(self._lags, self.base_rtt)
-        self._grouped = len(self._lags) * nl <= self.route_idx.size
-        if self._grouped:
-            self._route_key = self._lag_group * nl + self.route_idx.T
+        # the fixed-lag signal interpolates each distinct (base RTT, link)
+        # pair a route uses once per step: pair p lags by
+        # _lags[_pair_lag[p]] on link _pair_link[p], and hop h of flow j
+        # reads pair _hop_pair[h, j]
+        self._lags, lag_of = np.unique(self.base_rtt, return_inverse=True)
+        key = lag_of * nl + self.route_idx.T
+        pairs, hop_pair = np.unique(key, return_inverse=True)
+        self._hop_pair = hop_pair.reshape(key.shape)
+        self._pair_lag, self._pair_link = np.divmod(pairs, nl)
 
         self.caps = np.array([resolve_cap(f, self.params, topology) for f in flows])
         self.init_rates = np.array(
@@ -344,40 +344,33 @@ class FluidSimulation:
 
     # -- signal delivery ---------------------------------------------------
 
+    def _lag_index(self, pos: np.ndarray, filled: int):
+        """History rows around fractional positions ``pos``, clipped to the
+        filled history: rows ``(i0, i1)`` stacked as a ``(2, n)`` array, and
+        the interpolation weight of ``i1``."""
+        pos = pos.clip(0.0, float(filled))
+        i0 = np.floor(pos).astype(np.intp)
+        return np.minimum(i0 + _NEXT_ROW, filled), pos - i0
+
     def _interp_queue(self, pos: np.ndarray, filled: int) -> np.ndarray:
         """Queue delays per (flow, hop) at fractional history index ``pos``."""
-        pos = np.clip(pos, 0.0, float(filled))
-        i0 = np.floor(pos).astype(np.intp)
-        i1 = np.minimum(i0 + 1, filled)
-        frac = (pos - i0)[:, None]
-        lo = self._hist[i0[:, None], self.route_idx]
-        hi = self._hist[i1[:, None], self.route_idx]
-        return lo * (1.0 - frac) + hi * frac
+        rows, frac = self._lag_index(pos, filled)
+        lohi = self._hist[rows[:, :, None], self.route_idx]
+        frac = frac[:, None]
+        return lohi[0] * (1.0 - frac) + lohi[1] * frac
 
     def _route_queue_sum(self, pos: np.ndarray, filled: int) -> np.ndarray:
         vals = np.where(self.route_pad, self._interp_queue(pos, filled), 0.0)
         return vals.sum(axis=1)
 
-    def _lag_index(self, t: float, filled: int, lags: np.ndarray):
-        """History positions ``(t - lag) / dt``: rows ``i0``, ``i1`` and the
-        interpolation weight of ``i1``."""
-        pos = np.clip((t - lags) / self.config.dt, 0.0, float(filled))
-        i0 = np.floor(pos).astype(np.intp)
-        return i0, np.minimum(i0 + 1, filled), (pos - i0)[:, None]
-
     def _signals(self, t: float, filled: int) -> np.ndarray:
         if self.config.signal_delay_mode == "fixed_rtt":
-            ring = self._hist_rows
-            if self._grouped:
-                i0, i1, frac = self._lag_index(t, filled, self._lags)
-                rows = (self._hist[i0 % ring] * (1.0 - frac)
-                        + self._hist[i1 % ring] * frac)
-                sig = rows.take(self._route_key).max(axis=0)
-            else:
-                i0, i1, frac = self._lag_index(t, filled, self.base_rtt)
-                lo = self._hist[(i0 % ring)[:, None], self.route_idx]
-                hi = self._hist[(i1 % ring)[:, None], self.route_idx]
-                sig = (lo * (1.0 - frac) + hi * frac).max(axis=1)
+            rows, frac = self._lag_index((t - self._lags) / self.config.dt, filled)
+            flat = rows % self._hist_rows * self._hist.shape[1]
+            lohi = self._hist.take(flat.take(self._pair_lag, axis=1) + self._pair_link)
+            frac = frac.take(self._pair_lag)
+            pairs = lohi[0] * (1.0 - frac) + lohi[1] * frac
+            sig = pairs.take(self._hop_pair).max(axis=0)
         else:
             # solve emit + base_rtt + route_queue(emit) = t by bisection;
             # arrival time is nondecreasing in emit since dD/dt >= -1
@@ -392,8 +385,8 @@ class FluidSimulation:
                 late = arrive > t
                 hi = np.where(late, mid, hi)
                 lo = np.where(late, lo, mid)
-            vals = self._interp_queue(lo / dt, filled)
-            sig = np.where(self.route_pad, vals, -1.0).max(axis=1)
+            # padding repeats each route's last hop, so it cannot raise the max
+            sig = self._interp_queue(lo / dt, filled).max(axis=1)
         # no feedback before the first ACK returns
         sig[t < self._eligible_from] = 0.0
         return sig
@@ -417,10 +410,12 @@ class FluidSimulation:
         t = float(t)
         fixed = self.config.signal_delay_mode == "fixed_rtt"
         if fixed and t >= self._eligible_from[j]:
-            lag = float(self._lags[self._lag_group[j]])
-            i0, _, _ = self._lag_index(t, self._filled, np.array([lag]))
+            lag = float(self.base_rtt[j])
+            rows, _ = self._lag_index(
+                np.array([(t - lag) / self.config.dt]), self._filled
+            )
             oldest = self._filled - self._hist_rows + 1
-            if i0[0] < oldest:
+            if rows[0, 0] < oldest:
                 raise ValueError(
                     f"flow {flow_id!r} at t={t!r}: its lagged queue rows were "
                     f"overwritten; the history answers from "

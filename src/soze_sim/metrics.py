@@ -55,7 +55,7 @@ def _columns(trace: Trace) -> tuple[dict[str, int], dict[str, list[int]]]:
     col = {fid: i for i, fid in enumerate(trace.flow_ids)}
     on_link: dict[str, list[int]] = {lid: [] for lid in trace.link_ids}
     for fid, route in trace.routes.items():
-        for lid in dict.fromkeys(route):
+        for lid in route:
             on_link[lid].append(col[fid])
     return col, on_link
 

@@ -55,6 +55,11 @@ class Topology:
         # stable per-node ordering so routing is reproducible
         return {n: tuple(sorted(ls, key=lambda l: l.id)) for n, ls in out.items()}
 
+    @cached_property
+    def _hops_by_dst(self) -> dict[str, dict[str, int]]:
+        # filled by _distances_to: one BFS per destination routed to
+        return {}
+
     def validate(self) -> None:
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node ids")
@@ -121,6 +126,9 @@ def validate_flow(topology: Topology, flow: FlowSpec) -> None:
                 f"({prev_dst!r} -> {link.src!r})"
             )
         prev_dst = link.dst
+    if len(set(flow.route)) != len(flow.route):
+        again = next(l for i, l in enumerate(flow.route) if l in flow.route[:i])
+        raise FlowError(f"flow {flow.id!r}: route crosses link {again!r} twice")
     if not flow.weight_schedule:
         raise FlowError(f"flow {flow.id!r}: empty weight schedule")
     times = [t for t, _ in flow.weight_schedule]
@@ -263,6 +271,15 @@ def _hops_to(topology: Topology, dst: str) -> dict[str, int]:
     return dist
 
 
+def _distances_to(topology: Topology, dst: str) -> dict[str, int]:
+    """``_hops_to(topology, dst)``, searched once per destination and kept
+    on the topology."""
+    memo = topology._hops_by_dst
+    if dst not in memo:
+        memo[dst] = _hops_to(topology, dst)
+    return memo[dst]
+
+
 def route_flow(
     topology: Topology,
     src: str,
@@ -281,7 +298,7 @@ def route_flow(
     for node in (src, dst):
         if node not in topology.out_links:
             raise TopologyError(f"route: unknown node {node!r}")
-    dist = _hops_to(topology, dst)
+    dist = _distances_to(topology, dst)
     if src not in dist:
         raise TopologyError(f"route: no path from {src!r} to {dst!r}")
     route: list[str] = []
@@ -301,7 +318,7 @@ def enumerate_shortest_routes(
     topology: Topology, src: str, dst: str
 ) -> list[tuple[str, ...]]:
     """All equal-cost shortest routes, for verification against route_flow."""
-    dist = _hops_to(topology, dst)
+    dist = _distances_to(topology, dst)
     if src not in dist:
         return []
     out: list[tuple[str, ...]] = []

@@ -156,9 +156,25 @@ def _need(raw: Mapping, key: str, path: str) -> Any:
     return raw[key]
 
 
-def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
-    value = raw.get(key, default)
+def _section(raw: Mapping, key: str, path: str, kind: type = dict) -> Any:
+    """``raw[key]`` checked to be a ``kind`` (``dict`` or ``list``); unset or
+    null reads as an empty one.  ``path`` is the enclosing field, "" at the
+    top level."""
+    value = raw.get(key)
     if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        name = f"{path}.{key}" if path else key
+        what = "a mapping" if kind is dict else "a list"
+        raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+    return value
+
+
+def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
+    """``raw[key]`` as a finite float, ``default`` when unset; null is read
+    as unset only where ``default`` is None."""
+    value = raw.get(key, default)
+    if value is None and default is None:
         return None
     try:
         number = float(value)
@@ -178,10 +194,17 @@ def _numbers(cls, raw: Mapping, path: str):
     })
 
 
-def _integer(raw: Mapping, key: str, path: str, default: int) -> int:
+def _integer(raw: Mapping, key: str, path: str, default: int | None = None,
+             minimum: int | None = None) -> int:
+    """``raw[key]`` as an int no less than ``minimum``; unset reads as
+    ``default``, and is missing when that is None."""
+    if key not in raw and default is None:
+        raise ScenarioError(f"{path}.{key}: missing")
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{path}.{key}: must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -195,17 +218,13 @@ def _choice(raw: Mapping, key: str, path: str, choices: Sequence[str],
     return value
 
 
-def _convergence_section(raw: Any) -> tuple[float, int, str]:
+def _convergence_section(raw: Mapping) -> tuple[float, int, str]:
     """``(eps, window, judge)`` from the scenario's ``convergence`` section."""
     path = "convergence"
-    if not isinstance(raw, Mapping):
-        raise ScenarioError(f"{path}: expected a mapping, got {raw!r}")
     eps = _number(raw, "eps", path, Scenario.convergence_eps)
-    if eps is None or eps <= 0:
+    if eps <= 0:
         raise ScenarioError(f"{path}.eps: must be a finite number > 0, got {eps!r}")
-    window = _integer(raw, "window", path, Scenario.convergence_window)
-    if window < 1:
-        raise ScenarioError(f"{path}.window: must be >= 1, got {window!r}")
+    window = _integer(raw, "window", path, Scenario.convergence_window, minimum=1)
     judge = _choice(raw, "judge", path, JUDGE_MODES, Scenario.convergence_judge)
     return eps, window, judge
 
@@ -213,15 +232,20 @@ def _convergence_section(raw: Any) -> tuple[float, int, str]:
 def _build_topology_section(raw: Mapping) -> Topology:
     kind = raw.get("kind", "inline")
     if kind == "star":
-        n = int(_need(raw, "n", "topology"))
-        return star(n, _number(raw, "bandwidth", "topology", 100e9),
+        return star(_integer(raw, "n", "topology"),
+                    _number(raw, "bandwidth", "topology", 100e9),
                     _number(raw, "prop_delay", "topology", 1e-6))
     if kind == "fat_tree":
-        K = int(_need(raw, "K", "topology"))
-        return fat_tree(K, _number(raw, "bandwidth", "topology", 100e9),
+        return fat_tree(_integer(raw, "K", "topology"),
+                        _number(raw, "bandwidth", "topology", 100e9),
                         _number(raw, "prop_delay", "topology", 1e-6))
     if kind == "inline":
-        return build_topology(raw)
+        _need(raw, "nodes", "topology")
+        return build_topology({
+            **raw,
+            "nodes": _section(raw, "nodes", "topology", list),
+            "links": _section(raw, "links", "topology", list),
+        })
     raise ScenarioError(f"topology.kind: unknown kind {kind!r}")
 
 
@@ -240,12 +264,15 @@ def _resolve_route(
     topology: Topology, entry: Mapping, fid: str, seed: int, path: str
 ):
     if "route" in entry:
-        return tuple(str(x) for x in entry["route"])
+        return tuple(str(x) for x in _section(entry, "route", path, list))
     src = entry.get("src")
     dst = entry.get("dst")
     if src is None or dst is None:
         raise ScenarioError(f"{path}: need either 'route' or 'src'+'dst'")
-    return route_flow(topology, str(src), str(dst), seed=seed, flow_id=fid)
+    try:
+        return route_flow(topology, str(src), str(dst), seed=seed, flow_id=fid)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _expand_group(
@@ -257,15 +284,29 @@ def _expand_group(
     default_controller: str,
 ) -> list[FlowSpec]:
     path = f"flow_groups[{gi}]"
-    count = int(_need(group, "count", path))
-    if count < 1:
-        raise ScenarioError(f"{path}.count: must be >= 1")
+    count = _integer(group, "count", path, minimum=1)
     prefix = str(group.get("id_prefix", f"g{gi}"))
     hosts = hosts_of(topology)
     start0 = _number(group, "start", path, 0.0)
-    stagger = group.get("start_stagger")
+    stagger = _section(group, "start_stagger", path)
+    if stagger:
+        where = f"{path}.start_stagger"
+        batches = _integer(stagger, "batches", where, minimum=1)
+        interval = _number(stagger, "interval", where, 0.0)
     init = _number(group, "initial_rate", path, None)
     init_total = _number(group, "initial_rate_total", path, None)
+    uniform = None
+    wspec = group.get("weight")
+    if isinstance(wspec, Mapping) and "uniform" in wspec:
+        where = f"{path}.weight.uniform"
+        bounds = _section(wspec, "uniform", f"{path}.weight", list)
+        if len(bounds) != 2 or None in bounds:
+            raise ScenarioError(f"{where}: expected [low, high], got {bounds!r}")
+        uniform = [_number(dict(enumerate(bounds)), i, where) for i in (0, 1)]
+        if not 0 <= uniform[0] <= uniform[1]:
+            raise ScenarioError(f"{where}: need 0 <= low <= high, got {bounds!r}")
+    else:
+        weight = _number(group, "weight", path, 1.0)
     flows: list[FlowSpec] = []
     for i in range(count):
         fid = f"{prefix}_{i}"
@@ -278,16 +319,10 @@ def _expand_group(
                 src = hosts[a] if hosts[a] != dst else hosts[b]
             if dst == "random":
                 dst = hosts[b] if hosts[b] != src else hosts[a]
-        wspec = group.get("weight", 1.0)
-        if isinstance(wspec, Mapping) and "uniform" in wspec:
-            lo, hi = wspec["uniform"]
-            weight = float(rng.uniform(float(lo), float(hi)))
-        else:
-            weight = float(wspec)
+        if uniform is not None:
+            weight = float(rng.uniform(*uniform))
         start = start0
         if stagger:
-            batches = int(_need(stagger, "batches", f"{path}.start_stagger"))
-            interval = _number(stagger, "interval", f"{path}.start_stagger", 0.0)
             start = start0 + (i * batches // count) * interval
         entry = {"src": src, "dst": dst}
         route = _resolve_route(topology, entry, fid, seed, f"{path}[{i}]")
@@ -317,34 +352,30 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     if "topology" not in raw:
         raise ScenarioError("topology: missing")
     try:
-        topology = _build_topology_section(raw["topology"])
+        topology = _build_topology_section(_section(raw, "topology", ""))
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"topology: {exc}") from exc
 
-    sim_raw = raw.get("sim", {})
-    ctrl_raw = raw.get("control", {})
-    aimd_raw = raw.get("aimd", {})
-    seed = int(sim_raw.get("seed", 0))
+    sim_raw = _section(raw, "sim", "")
+    ctrl_raw = _section(raw, "control", "")
+    aimd_raw = _section(raw, "aimd", "")
+    seed = _integer(sim_raw, "seed", "sim", 0, minimum=0)
     default_controller = str(raw.get("default_controller", "soze"))
     rng = np.random.default_rng(seed)
 
     flows: list[FlowSpec] = []
-    for i, entry in enumerate(raw.get("flows", []) or []):
+    for i, entry in enumerate(_section(raw, "flows", "", list)):
         path = f"flows[{i}]"
         if not isinstance(entry, Mapping):
-            raise ScenarioError(f"{path}: expected a mapping")
+            raise ScenarioError(f"{path}: expected a mapping, got {entry!r}")
         fid = str(entry.get("id", f"f{i}"))
         start = _number(entry, "start", path, 0.0)
-        try:
-            route = _resolve_route(topology, entry, fid, seed, path)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
         flows.append(
             FlowSpec(
                 id=fid,
-                route=route,
+                route=_resolve_route(topology, entry, fid, seed, path),
                 weight_schedule=_weight_schedule(entry, start, path),
                 start_time=start,
                 stop_time=_number(entry, "stop", path, None),
@@ -352,7 +383,9 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
                 initial_rate=_number(entry, "initial_rate", path, None),
             )
         )
-    for gi, group in enumerate(raw.get("flow_groups", []) or []):
+    for gi, group in enumerate(_section(raw, "flow_groups", "", list)):
+        if not isinstance(group, Mapping):
+            raise ScenarioError(f"flow_groups[{gi}]: expected a mapping, got {group!r}")
         flows.extend(
             _expand_group(topology, group, gi, seed, rng, default_controller)
         )
@@ -383,7 +416,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"aimd: {exc}") from exc
 
-    if "dt" not in sim_raw or "end_time" not in sim_raw:
+    if sim_raw.get("dt") is None or sim_raw.get("end_time") is None:
         raise ScenarioError("sim: need both 'dt' and 'end_time'")
     try:
         sim = SimConfig(
@@ -406,8 +439,12 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"sim: {exc}") from exc
 
-    eps, window, judge = _convergence_section(raw.get("convergence") or {})
-    outputs = raw.get("outputs", {}) or {}
+    eps, window, judge = _convergence_section(_section(raw, "convergence", ""))
+    outputs = _section(raw, "outputs", "")
+    for key in ("trace", "summary"):
+        value = outputs.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ScenarioError(f"outputs.{key}: expected a file name, got {value!r}")
     return Scenario(
         name=name,
         topology=topology,

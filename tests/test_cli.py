@@ -248,6 +248,34 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
     assert not os.path.exists(os.path.join(tmp_out, "small.trace.csv"))
 
 
+@pytest.mark.parametrize("scenario, setting, field", [
+    ("fat_tree_random", "flow_groups.0.weight.uniform=3",
+     "flow_groups[0].weight.uniform"),
+    ("weighted_split", "sim=5", "sim"),
+    ("weighted_split", "control=[1]", "control"),
+    ("weighted_split", "flows=5", "flows"),
+    ("weighted_split", "flows.0.route=5", "flows[0].route"),
+    ("fat_tree_random", "topology.K=4.7", "topology.K"),
+    ("fat_tree_random", "flow_groups.0.count=2.9", "flow_groups[0].count"),
+    ("weighted_split", "sim.seed=abc", "sim.seed"),
+    ("single_link_nflows", "flow_groups.0.start_stagger.batches=x",
+     "flow_groups[0].start_stagger.batches"),
+])
+def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
+                                                 field):
+    assert main(["oracle", scenario_path(scenario), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: expected" in err
+    assert "Traceback" not in err
+
+
+def test_route_crossing_a_link_twice_exits_2(capsys):
+    assert main(["oracle", scenario_path("weighted_split"), "--set",
+                 "flows.0.route=[a->b, b->a, a->b]"]) == 2
+    err = capsys.readouterr().err
+    assert "'w3'" in err and "'a->b' twice" in err
+
+
 def test_oversize_run_exits_2_before_allocating(tmp_out, capsys):
     path = write_scenario(tmp_out, SMALL)
     t0 = time.perf_counter()

@@ -238,27 +238,56 @@ def parent_signals(hist, route_idx, route_pad, rtt, eligible, t, filled, dt):
     return sig
 
 
-@pytest.mark.parametrize("copies, grouped", [
-    (1, False),     # 2 RTT groups x 14 links > 6 x 3 route cells: per hop
-    (2, True),      # 12 x 3 route cells >= 28: one link row per RTT group
+# start time, weight and stop time of each of six flows
+STAGGERED = list(zip((0, 0, 7e-6, 0, 13e-6, 0), (1, 2, 1, 3, 1, 1),
+                     (None, 60e-6, None, None, None, None)))
+
+
+def two_rtt_flows(copies):
+    """The two-switch routes (1.2 us over three hops, 0.8 us over two) with
+    staggered starts, ``copies`` times over."""
+    return two_switch(), [
+        replace(f, id=f"{f.id}_{c}", start_time=s, weight_schedule=((s, w),),
+                stop_time=e)
+        for c in range(copies)
+        for f, (s, w, e) in zip(two_switch_flows(), STAGGERED)
+    ]
+
+
+def rtt_per_flow():
+    """Six flows with staggered starts, each with its own access link delay
+    and so its own base RTT, sharing one trunk and two egress links."""
+    links = [{"src": f"h{i}", "dst": "s1", "prop_delay": (0.1 + 0.03 * i) * 1e-6}
+             for i in range(6)]
+    links += [{"src": "s1", "dst": "s2", "prop_delay": 0.2e-6},
+              {"src": "s2", "dst": "d0", "prop_delay": 0.2e-6},
+              {"src": "s2", "dst": "d1", "prop_delay": 0.2e-6}]
+    for l in links:
+        l["bandwidth"] = 100e9
+    topo = build_topology({
+        "nodes": [f"h{i}" for i in range(6)] + ["s1", "s2", "d0", "d1"],
+        "links": links,
+    })
+    flows = [FlowSpec(f"f{i}", (f"h{i}->s1", "s1->s2", f"s2->d{i % 2}"),
+                      ((s, w),), start_time=s, stop_time=e)
+             for i, (s, w, e) in enumerate(STAGGERED)]
+    return topo, flows
+
+
+@pytest.mark.parametrize("build, n_rtts", [
+    pytest.param(lambda: two_rtt_flows(1), 2, id="two_rtts_6_flows"),
+    pytest.param(lambda: two_rtt_flows(2), 2, id="two_rtts_12_flows"),
+    pytest.param(rtt_per_flow, 6, id="one_rtt_per_flow"),
 ])
-def test_signals_equal_full_history_reference(copies, grouped):
+def test_signals_equal_full_history_reference(build, n_rtts):
     """Every step's delivered signal equals the per-hop reference computed
-    from the full queue history, on routes with two distinct base RTTs
-    (1.2 us over three hops, 0.8 us over two) and staggered starts, whether
-    the engine interpolates per RTT group or per (flow, hop)."""
-    topo = two_switch()
-    flows = [replace(f, id=f"{f.id}_{c}", start_time=s,
-                     weight_schedule=((s, w),), stop_time=e)
-             for c in range(copies)
-             for f, s, w, e in zip(two_switch_flows(), (0, 0, 7e-6, 0, 13e-6, 0),
-                                   (1, 2, 1, 3, 1, 1),
-                                   (None, 60e-6, None, None, None, None))]
+    from the full queue history, with staggered starts, on RTT mixes from
+    two distinct base RTTs shared by many flows to one base RTT per flow."""
+    topo, flows = build()
     dt = 0.2e-6
     cfg = SimConfig(dt=dt, end_time=100e-6, control=ControlParams(),
                     sampling_interval=dt)
     eng = FluidSimulation(topo, flows, cfg)
-    assert eng._grouped == grouped
     trace = eng.run()
     lidx = {lid: i for i, lid in enumerate(trace.link_ids)}
     width = max(len(f.route) for f in flows)
@@ -269,7 +298,7 @@ def test_signals_equal_full_history_reference(copies, grouped):
             route_idx[j, h] = lidx[lid]
             route_pad[j, h] = True
     rtt = np.array([trace.base_rtts[f.id] for f in flows])
-    assert len(set(rtt)) == 2
+    assert len(set(rtt)) == n_rtts
     eligible = rtt + np.array([f.start_time for f in flows])
     hist = trace.queue_delays
     assert trace.signals.any()

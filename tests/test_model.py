@@ -1,6 +1,15 @@
 import pytest
 
-from soze_sim import FlowSpec, base_rtt, build_topology, fat_tree, route_flow, star
+from soze_sim import (
+    FlowSpec,
+    base_rtt,
+    build_topology,
+    fat_tree,
+    load_scenario,
+    route_flow,
+    star,
+)
+from soze_sim import model
 from soze_sim.model import (
     FlowError,
     TopologyError,
@@ -9,7 +18,7 @@ from soze_sim.model import (
     validate_flow,
 )
 
-from conftest import two_switch
+from conftest import scenario_path, two_switch
 
 
 def test_minimal_topology():
@@ -131,6 +140,38 @@ def test_routes_are_connected_paths():
         assert links[0].src == src and links[-1].dst == dst
         for a, b in zip(links, links[1:]):
             assert a.dst == b.src
+
+
+def test_routes_on_a_shared_topology_match_fresh_ones():
+    """Distances kept on the topology give the routes a fresh topology gives,
+    for every host pair and in any order of destinations."""
+    shared = fat_tree(4, 100e9, 1e-6)
+    hosts = hosts_of(shared)
+    for src in hosts:
+        for dst in reversed(hosts):
+            if src == dst:
+                continue
+            fresh = fat_tree(4, 100e9, 1e-6)
+            assert (route_flow(shared, src, dst, seed=3, flow_id=src + dst)
+                    == route_flow(fresh, src, dst, seed=3, flow_id=src + dst))
+            assert (enumerate_shortest_routes(shared, src, dst)
+                    == enumerate_shortest_routes(fresh, src, dst))
+
+
+def test_fat_tree_parse_searches_each_destination_once(monkeypatch):
+    searched = []
+    bfs = model._hops_to
+
+    def counting(topology, dst):
+        searched.append(dst)
+        return bfs(topology, dst)
+
+    monkeypatch.setattr(model, "_hops_to", counting)
+    scenario = load_scenario(scenario_path("fat_tree_random"))
+    link = scenario.topology.link_by_id
+    destinations = {link[f.route[-1]].dst for f in scenario.flows}
+    assert len(scenario.flows) > len(destinations)
+    assert sorted(searched) == sorted(destinations)
 
 
 def test_no_path_rejected():

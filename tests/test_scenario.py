@@ -1,8 +1,17 @@
+import copy
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soze_sim import ScenarioError, load_scenario, scenario_from_dict
-from soze_sim.scenario import SWEEP_PARAMS, apply_override, apply_sweep_value
+from soze_sim.scenario import (
+    SWEEP_PARAMS,
+    Scenario,
+    apply_override,
+    apply_sweep_value,
+)
 
 from conftest import scenario_path
 
@@ -195,3 +204,96 @@ def test_bad_convergence_value_named(key, value):
 def test_convergence_section_must_be_a_mapping():
     with pytest.raises(ScenarioError, match="convergence"):
         scenario_from_dict({**BASE, "convergence": 0.05})
+
+
+# -- fuzz: any one bad leaf or section fails as a ScenarioError ----------------
+
+FUZZ_BASES = [
+    BASE,
+    {
+        "name": "inline",
+        "default_controller": "soze",
+        "require_converged": False,
+        "topology": {
+            "kind": "inline",
+            "nodes": ["h0", "h1", "h2", "s"],
+            "links": [
+                {"src": "h0", "dst": "s", "bandwidth": 100e9,
+                 "prop_delay": 0.25e-6, "bidirectional": True},
+                {"src": "h1", "dst": "s", "bandwidth": 100e9,
+                 "prop_delay": 0.25e-6},
+                {"id": "down", "src": "s", "dst": "h2", "bandwidth": 50e9,
+                 "prop_delay": 0.25e-6, "bidirectional": False},
+            ],
+        },
+        "flows": [
+            {"id": "f0", "route": ["h0->s", "down"],
+             "weight_schedule": [[0.0, 1.0], [1e-4, 2.0]], "stop": 5e-4,
+             "controller": "aimd", "initial_rate": 1e9},
+            {"id": "f1", "src": "h1", "dst": "h2", "weight": 2.0,
+             "start": 1e-5},
+        ],
+        "flow_groups": [
+            {"count": 3, "id_prefix": "g", "src": "random", "dst": "h2",
+             "weight": {"uniform": [0.5, 4.0]}, "start": 0.0,
+             "start_stagger": {"batches": 2, "interval": 1e-5},
+             "initial_rate_total": 3e9},
+        ],
+        "control": {"p": 20e-6, "k": 3e-6, "m": 0.25, "rate_cap": 100e9},
+        "aimd": {"threshold": 20e-6, "md": 0.2, "packet_size": 8000.0},
+        "sim": {"dt": 0.125e-6, "end_time": 1e-3, "seed": 1,
+                "sampling_interval": 1e-6, "signal_delay_mode": "fixed_rtt",
+                "update_mode": "per_rtt", "packet_size": 8000.0},
+        "convergence": {"eps": 0.05, "window": 20, "judge": "all"},
+        "outputs": {"trace": "t.csv", "summary": "t.json"},
+    },
+    {
+        "name": "fat_tree",
+        "topology": {"kind": "fat_tree", "K": 4, "bandwidth": 100e9,
+                     "prop_delay": 0.1e-6},
+        "flow_groups": [{"count": 4, "src": "random", "dst": "random",
+                         "weight": 1.5, "initial_rate": 1e9}],
+        "sim": {"dt": 0.1e-6, "end_time": 1e-4, "seed": 3},
+    },
+]
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node``: sections, list entries and leaves."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+FUZZ_SITES = [(b, path) for b, base in enumerate(FUZZ_BASES)
+              for path in _paths(base)]
+# small integers keep drawn topology sizes and flow counts small
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+                  st.text(max_size=4))
+_VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=3),
+                   st.dictionaries(st.text(max_size=3), _LEAF, max_size=3))
+
+
+def test_fuzz_bases_parse():
+    for base in FUZZ_BASES:
+        assert isinstance(scenario_from_dict(base), Scenario)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(FUZZ_SITES), _VALUE)
+def test_one_bad_value_is_a_scenario_error(site, value):
+    """Replacing any one leaf or section of a valid scenario with a value of
+    another type or range either parses or raises ScenarioError."""
+    b, path = site
+    raw = copy.deepcopy(FUZZ_BASES[b])
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        result = scenario_from_dict(raw)
+    except ScenarioError:
+        return
+    assert isinstance(result, Scenario)
