@@ -273,12 +273,12 @@ def cmd_sweep(args) -> int:
         # validate the base scenario and the parameter name up front
         base = scenario_from_dict(raw, overrides=args.set or ())
         apply_sweep_value(copy.deepcopy(base.raw), args.param, parsed_values[0])
+        workers = _thread_cap(len(parsed_values))
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     payloads = [(base.raw, args.param, v, args.out) for v in parsed_values]
-    workers = _thread_cap(len(payloads))
     try:
         if workers <= 1:
             results = [_sweep_worker(p) for p in payloads]
@@ -306,15 +306,21 @@ def cmd_sweep(args) -> int:
 
 
 def _thread_cap(n_tasks: int) -> int:
+    """Sweep workers: ``SOZE_SIM_THREADS`` (an integer >= 1) or the CPU
+    count, and no more than there are tasks."""
     env = os.environ.get("SOZE_SIM_THREADS")
     if env:
         try:
             cap = int(env)
         except ValueError:
-            cap = 1
+            cap = 0
+        if cap < 1:
+            raise ValueError(
+                f"SOZE_SIM_THREADS: expected an integer >= 1, got {env!r}"
+            )
     else:
         cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
+    return min(cap, n_tasks)
 
 
 def cmd_oracle(args) -> int:

@@ -6,21 +6,35 @@ Per integration step of length ``dt`` the engine:
 2. sums per-link arrival rates by scattering each flow's rate over its
    route hops (flat ``(hop_flow, hop_link)`` arrays built once),
 3. integrates each link's queueing delay ``dD/dt = (R - B) / B`` (clamped
-   at zero),
-4. delivers to each active flow its lagged maxQD signal -- the maximum
-   queueing delay along its route as it stood one feedback lag ago -- and
-   lets the flow's controller react,
+   at zero) and writes it to the queue history,
+4. on steps where some flow updates its rate or a trace sample is due,
+   delivers to every flow its lagged maxQD signal -- the maximum queueing
+   delay along its route as it stood one feedback lag ago -- and lets the
+   due flows' controllers react (a signal is read only when it is used,
+   so the other steps skip delivery),
 5. records a trace sample when due.
 
-The queue history that step 4 reads is kept per mode.  With
+The queue history that step 4 reads is a ring of rows, one per step.  With
 ``fixed_rtt`` every flow's lag is its constant base RTT, so a ring of
 ``ceil(max base RTT / dt) + 3`` rows (at most ``n_steps + 1``) suffices and
-memory does not grow with ``end_time``.  A step interpolates each distinct
+memory does not grow with ``end_time``.  A read interpolates each distinct
 (base RTT, link) pair that some route uses once -- at most
 min(distinct base RTTs x links, route hops) pairs -- and takes each flow's
 max over its hops, so it costs O(route hops + links) on any mix of base
-RTTs.  ``propagation_plus_queue`` keeps every row, because its
-emission-time search starts at time 0.
+RTTs.
+
+With ``propagation_plus_queue`` a signal read at ``t`` was emitted at the
+latest time ``e`` with ``g(e) = e + base RTT + route queue sum(e) <= t``.
+The history is linear between rows, so ``g`` is piecewise linear; each
+link's ``dD/dt >= -1``, but a route's queue sum can fall by up to one
+second per second per hop, so on a multi-hop route ``g`` can decrease and
+``g(e) = t`` can have several roots.  The latest one never moves back as
+``t`` grows.  The engine caches ``G[row, flow] = g(row * dt)`` for each
+row the first time a read reaches it, finds each flow's last row with
+``G <= t`` and solves the crossing segment linearly.  Each flow's last
+row only moves forward, and rows older than the smallest of them are
+dropped, so the ring starts at the fixed-lag size and doubles only when
+the lags it must span outgrow it.
 
 Identical inputs produce bit-identical traces: there is no hidden state and
 no wall-clock or hash-order dependence.
@@ -181,6 +195,11 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def initial_rate(
     flow: FlowSpec, params: ControlParams, topology: Topology
 ) -> float:
@@ -259,8 +278,10 @@ class FluidSimulation:
             first[:, None] + np.minimum(np.arange(max_route), lengths[:, None] - 1)
         ]
         # flat route hops for the arrival scatter, in flow order: hop h
-        # carries flow _hop_flow[h] over link _hop_link[h]
+        # carries flow _hop_flow[h] over link _hop_link[h], and flow j's
+        # hops start at _hop_first[j]
         self._hop_link, self._hop_flow = hops, np.repeat(np.arange(nf), lengths)
+        self._hop_first = first
 
         self.base_rtt = np.array([base_rtt(topology, f.route) for f in flows])
         # the fixed-lag signal interpolates each distinct (base RTT, link)
@@ -306,15 +327,13 @@ class FluidSimulation:
         self.sample_every = max(1, int(round(samp / config.dt)))
         self.sampling_interval = self.sample_every * config.dt
         self._n_samples = self.n_steps // self.sample_every + 1
-        if config.signal_delay_mode == "fixed_rtt":
-            self._hist_rows = min(
-                math.ceil(float(self._lags[-1]) / config.dt) + 3, self.n_steps + 1
-            )
-        else:
-            self._hist_rows = self.n_steps + 1
+        # the queue-lag ring starts at this size and grows on demand
+        self._hist_rows = min(
+            math.ceil(float(self._lags[-1]) / config.dt) + 3, self.n_steps + 1
+        )
 
         need = 8 * (self._n_samples * (1 + 2 * nf + nl) + self._hist_rows * nl)
-        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        phys = physical_memory()
         if need > phys:
             raise SimConfigError(
                 f"sim.end_time / sim.sampling_interval: the trace and history "
@@ -352,18 +371,56 @@ class FluidSimulation:
         i0 = np.floor(pos).astype(np.intp)
         return np.minimum(i0 + _NEXT_ROW, filled), pos - i0
 
-    def _interp_queue(self, pos: np.ndarray, filled: int) -> np.ndarray:
-        """Queue delays per (flow, hop) at fractional history index ``pos``."""
-        rows, frac = self._lag_index(pos, filled)
-        lohi = self._hist[rows[:, :, None], self.route_idx]
-        frac = frac[:, None]
-        return lohi[0] * (1.0 - frac) + lohi[1] * frac
+    def _emission_rows(self, t: float, filled: int):
+        """Each flow's queue-lag emission point for a read at ``t``, searched
+        over the kept rows ``_oldest .. filled``: its history rows stacked
+        as a ``(2, nf)`` array, the interpolation weight of the second, and
+        whether a kept row has ``G <= t`` (a flow without one reads row
+        ``_oldest``)."""
+        dt, ring = self.config.dt, self._hist_rows
+        new = np.arange(self._g_next, filled + 1)
+        if new.size:
+            queues = self._hist[new % ring].take(self._hop_link, axis=1)
+            self._lag_g[new % ring] = (new[:, None] * dt + self.base_rtt) + (
+                np.add.reduceat(queues, self._hop_first, axis=1)
+            )
+            self._g_next = filled + 1
+        kept = filled + 1 - self._oldest
+        g = self._lag_g[np.arange(self._oldest, filled + 1) % ring]
+        # the last kept row with G <= t: g is linear between rows, so past
+        # that row it crosses t once, inside the next segment, and stays above
+        last = kept - 1 - (g[::-1] <= t).argmax(axis=0)
+        g = np.take_along_axis(g, np.minimum(last + _NEXT_ROW, kept - 1), axis=0)
+        found = g[0] <= t
+        cross = found & (g[1] > t)
+        frac = np.divide(t - g[0], g[1] - g[0], out=np.zeros_like(g[0]),
+                         where=cross)
+        last[~found] = 0
+        return self._oldest + np.minimum(last + _NEXT_ROW, kept - 1), frac, found
 
-    def _route_queue_sum(self, pos: np.ndarray, filled: int) -> np.ndarray:
-        vals = np.where(self.route_pad, self._interp_queue(pos, filled), 0.0)
-        return vals.sum(axis=1)
+    def _route_max(self, rows: np.ndarray, frac: np.ndarray) -> np.ndarray:
+        """Per flow, the largest queue on its route, interpolated between
+        its history rows ``rows`` with weight ``frac``."""
+        lohi = self._hist[(rows % self._hist_rows)[:, :, None], self.route_idx]
+        frac = frac[:, None]
+        # padding repeats each route's last hop, so it cannot raise the max
+        return (lohi[0] * (1.0 - frac) + lohi[1] * frac).max(axis=1)
+
+    def _grow_history(self) -> None:
+        """Double the queue-lag ring (to at most one row per step), keeping
+        rows ``_oldest .. _filled`` and their cached ``G``."""
+        ring = min(2 * self._hist_rows, self.n_steps + 1)
+        kept = np.arange(self._oldest, self._filled + 1)
+        for name in ("_hist", "_lag_g"):
+            buf = getattr(self, name)
+            grown = np.empty((ring, buf.shape[1]))
+            grown[kept % ring] = buf[kept % self._hist_rows]
+            setattr(self, name, grown)
+        self._hist_rows = ring
 
     def _signals(self, t: float, filled: int) -> np.ndarray:
+        """Every flow's signal at ``t``; a queue-lag read also drops the
+        rows that no later read can need."""
         if self.config.signal_delay_mode == "fixed_rtt":
             rows, frac = self._lag_index((t - self._lags) / self.config.dt, filled)
             flat = rows % self._hist_rows * self._hist.shape[1]
@@ -372,21 +429,9 @@ class FluidSimulation:
             pairs = lohi[0] * (1.0 - frac) + lohi[1] * frac
             sig = pairs.take(self._hop_pair).max(axis=0)
         else:
-            # solve emit + base_rtt + route_queue(emit) = t by bisection;
-            # arrival time is nondecreasing in emit since dD/dt >= -1
-            dt = self.config.dt
-            lo = np.zeros_like(self.base_rtt)
-            hi = np.maximum(t - self.base_rtt, 0.0)
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                arrive = mid + self.base_rtt + self._route_queue_sum(
-                    mid / dt, filled
-                )
-                late = arrive > t
-                hi = np.where(late, mid, hi)
-                lo = np.where(late, lo, mid)
-            # padding repeats each route's last hop, so it cannot raise the max
-            sig = self._interp_queue(lo / dt, filled).max(axis=1)
+            rows, frac, _ = self._emission_rows(t, filled)
+            self._oldest = int(rows[0].min())
+            sig = self._route_max(rows, frac)
         # no feedback before the first ACK returns
         sig[t < self._eligible_from] = 0.0
         return sig
@@ -394,22 +439,30 @@ class FluidSimulation:
     def deliver_signal(self, flow_id: str, t: float) -> float:
         """The maxQD signal the sender of ``flow_id`` holds at time ``t``.
 
-        ``propagation_plus_queue`` keeps the whole queue history and answers
-        for any ``t``.  ``fixed_rtt`` keeps only the last
+        Both modes answer 0 for any ``t`` before the flow's first ACK and
+        read the queues past the run's end as they stood after its last
+        step.  A ``t`` before the windows below raises ValueError, because
+        the rows it needs were overwritten.
+
+        ``fixed_rtt`` keeps only the last
         ``R = min(ceil(max base RTT / dt) + 3, n_steps + 1)`` queue rows
         (all of them when ``R = n_steps + 1``): after ``n`` steps,
         for a flow with base RTT ``L`` it answers for ``t`` from
-        ``(n - R + 1) * dt + L`` on (a ``t`` past the run reads the last
-        step), and for any ``t`` before the flow's first ACK, where the
-        signal is 0.  Earlier ``t`` raise ValueError, because their lagged
-        rows were overwritten.
+        ``(n - R + 1) * dt + L`` on.
+
+        ``propagation_plus_queue`` keeps the rows from the oldest emission
+        row that the run's last signal read used, row ``o``: it answers for
+        ``t`` from ``G(o) = o * dt + L + route queue sum at row o`` on, the
+        time at which row ``o`` reaches the sender.  The answer is solved
+        from row ``o`` afresh, so asking never changes the run.
         """
         if not hasattr(self, "_hist"):
             raise RuntimeError("simulation has not started")
         j = self.flow_ids.index(flow_id)
         t = float(t)
-        fixed = self.config.signal_delay_mode == "fixed_rtt"
-        if fixed and t >= self._eligible_from[j]:
+        if t < self._eligible_from[j]:
+            return 0.0
+        if self.config.signal_delay_mode == "fixed_rtt":
             lag = float(self.base_rtt[j])
             rows, _ = self._lag_index(
                 np.array([(t - lag) / self.config.dt]), self._filled
@@ -421,7 +474,16 @@ class FluidSimulation:
                     f"overwritten; the history answers from "
                     f"t={oldest * self.config.dt + lag!r} on"
                 )
-        return float(self._signals(t, self._filled)[j])
+            return float(self._signals(t, self._filled)[j])
+        rows, frac, found = self._emission_rows(t, self._filled)
+        if not found[j] and self._oldest > 0:
+            first = self._lag_g[self._oldest % self._hist_rows, j]
+            raise ValueError(
+                f"flow {flow_id!r} at t={t!r}: the queue rows around its "
+                f"emission time were overwritten; the history answers from "
+                f"t={float(first)!r} on"
+            )
+        return float(self._route_max(rows, frac)[j])
 
     # -- main loop ----------------------------------------------------------
 
@@ -445,6 +507,13 @@ class FluidSimulation:
 
         self._hist = np.zeros((self._hist_rows, nl))
         self._filled = 0
+        queue_lag = cfg.signal_delay_mode == "propagation_plus_queue"
+        if queue_lag:
+            # G per kept row and flow, cached up to row _g_next - 1; rows
+            # before _oldest are dropped
+            self._lag_g = np.empty((self._hist_rows, nf))
+            self._g_next = 0
+            self._oldest = 0
         self._eligible_from = self.base_rtt + np.array(
             [f.start_time for f in self.flows]
         )
@@ -505,10 +574,10 @@ class FluidSimulation:
             arrival = np.bincount(hop_link, rates.take(hop_flow), nl)
             qd += dt * (arrival - self.bw) / self.bw
             np.maximum(qd, 0.0, out=qd)
+            if queue_lag and k + 1 - self._oldest >= self._hist_rows:
+                self._grow_history()
             self._hist[(k + 1) % self._hist_rows] = qd
             self._filled = k + 1
-
-            cur_sig = self._signals(t_next, k + 1)
 
             due = active & (t_next - last_update > gate_after)
             if per_rtt:
@@ -518,7 +587,13 @@ class FluidSimulation:
                 pkt_acc[live] += dt * rates[live] / cfg.packet_size
                 whole = np.floor(pkt_acc)
                 mask = live & (whole >= 1.0)
-            if mask.any():
+            aimd_mask = due & self.is_aimd
+            update_soze, update_aimd = mask.any(), aimd_mask.any()
+            sample = (k + 1) % self.sample_every == 0
+            if update_soze or update_aimd or sample:
+                cur_sig = self._signals(t_next, k + 1)
+
+            if update_soze:
                 exponent = None
                 if not per_rtt:
                     exponent = np.minimum(m * whole[mask], 1.0)
@@ -530,15 +605,15 @@ class FluidSimulation:
                 )
                 last_update[mask] = t_next
 
-            mask = due & self.is_aimd
-            if mask.any():
+            if update_aimd:
+                mask = aimd_mask
                 cwnd[mask] = aimd_window(cwnd[mask], cur_sig[mask], aimd)
                 rates[mask] = np.minimum(
                     cwnd[mask] * aimd_pkt / self.base_rtt[mask], self.caps[mask]
                 )
                 last_update[mask] = t_next
 
-            if (k + 1) % self.sample_every == 0:
+            if sample:
                 out_t[row] = t_next
                 out_rates[row] = rates
                 out_sig[row] = np.where(active, cur_sig, 0.0)

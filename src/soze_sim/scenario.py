@@ -33,7 +33,7 @@ import yaml
 
 from .baselines import AimdConfig
 from .control import ControlParams
-from .fluid import SimConfig
+from .fluid import SimConfig, physical_memory
 from .model import (
     FlowSpec,
     Topology,
@@ -170,6 +170,13 @@ def _section(raw: Mapping, key: str, path: str, kind: type = dict) -> Any:
     return value
 
 
+def _real(value: Any) -> float:
+    """``float(value)``, refusing booleans, which float() reads as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
     """``raw[key]`` as a finite float, ``default`` when unset; null is read
     as unset only where ``default`` is None."""
@@ -177,8 +184,8 @@ def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
     if value is None and default is None:
         return None
     try:
-        number = float(value)
-    except (TypeError, ValueError):
+        number = _real(value)
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
     if not math.isfinite(number):
         raise ScenarioError(f"{path}.{key}: must be finite, got {value!r}")
@@ -253,8 +260,8 @@ def _weight_schedule(entry: Mapping, start: float, path: str):
     if "weight_schedule" in entry:
         sched = entry["weight_schedule"]
         try:
-            return tuple((float(t), float(w)) for t, w in sched)
-        except (TypeError, ValueError):
+            return tuple((_real(t), _real(w)) for t, w in sched)
+        except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{path}.weight_schedule: expected [time, weight] pairs")
     w = _number(entry, "weight", path, 1.0)
     return ((min(0.0, start), w),)
@@ -343,6 +350,51 @@ def _expand_group(
     return flows
 
 
+# bytes one parsed item takes, measured on CPython and rounded up: a flow
+# (its spec, id and schedule), one hop of a route as the engine stores it,
+# and one link or node
+_FLOW_BYTES, _HOP_BYTES, _LINK_BYTES = 1024, 64, 512
+
+
+def _check_size(raw: Mapping) -> None:
+    """Refuse a scenario whose topology and flows would not fit in physical
+    memory, before any of them is built.  Hosts and links follow from
+    ``topology.K`` or ``topology.n``; each route is counted at its longest
+    (6 hops on a fat-tree, 2 on a star, one per node on an inline
+    topology)."""
+    topo = _section(raw, "topology", "")
+    kind = topo.get("kind", "inline")
+    if kind == "fat_tree":
+        field, size = "topology.K", _integer(topo, "K", "topology")
+        nodes, links, hops = size**3 // 4 + 5 * size**2 // 4, 3 * size**3 // 2, 6
+    elif kind == "star":
+        field, size = "topology.n", _integer(topo, "n", "topology")
+        nodes, links, hops = size + 1, 2 * size, 2
+    else:
+        field = "topology"
+        nodes = len(_section(topo, "nodes", "topology", list))
+        links = len(_section(topo, "links", "topology", list))
+        hops = max(nodes - 1, 1)
+    counts = [
+        _integer(group, "count", f"flow_groups[{i}]", minimum=1)
+        if isinstance(group, Mapping) else 0
+        for i, group in enumerate(_section(raw, "flow_groups", "", list))
+    ]
+    flows = len(_section(raw, "flows", "", list)) + sum(counts)
+    phys = physical_memory()
+    need = _LINK_BYTES * (nodes + links)
+    if need <= phys:
+        need += flows * (_FLOW_BYTES + hops * _HOP_BYTES)
+        field = (f"flow_groups[{counts.index(max(counts))}].count"
+                 if counts else "flows")
+    if need > phys:
+        raise ScenarioError(
+            f"{field}: {flows} flows on {links} links need about "
+            f"{need / 2**30:.3g} GiB to build, more than the "
+            f"{phys / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     raw = copy.deepcopy(raw)
     for spec in overrides:
@@ -351,6 +403,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     name = str(raw.get("name", "scenario"))
     if "topology" not in raw:
         raise ScenarioError("topology: missing")
+    _check_size(raw)
     try:
         topology = _build_topology_section(_section(raw, "topology", ""))
     except ScenarioError:

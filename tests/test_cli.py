@@ -260,6 +260,9 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
     ("weighted_split", "sim.seed=abc", "sim.seed"),
     ("single_link_nflows", "flow_groups.0.start_stagger.batches=x",
      "flow_groups[0].start_stagger.batches"),
+    ("weighted_split", "flows.0.weight=true", "flows[0].weight"),
+    ("weighted_split", "flows.0.weight_schedule=[[0.0, true]]",
+     "flows[0].weight_schedule"),
 ])
 def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
                                                  field):
@@ -286,6 +289,36 @@ def test_oversize_run_exits_2_before_allocating(tmp_out, capsys):
     assert "sim.end_time" in err and "sim.sampling_interval" in err
     assert "Traceback" not in err
     assert not os.path.exists(os.path.join(tmp_out, "small.trace.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("scenario, setting, field", [
+    ("single_link_nflows", "flow_groups.0.count=1000000000000",
+     "flow_groups[0].count"),
+    ("fat_tree_random", "topology.K=1000000", "topology.K"),
+])
+def test_absurd_size_exits_2_before_building(tmp_out, capsys, command,
+                                             scenario, setting, field):
+    argv = [command, scenario_path(scenario), "--set", setting]
+    if command == "run":
+        argv += ["--out", tmp_out]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err and "physical memory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
+def test_bad_thread_cap_exits_2_and_names_variable(tmp_out, capsys,
+                                                   monkeypatch, threads):
+    monkeypatch.setenv("SOZE_SIM_THREADS", threads)
+    assert main(["sweep", scenario_path("m_sweep"), "--param", "m",
+                 "--values", "0.25", "--set", "sim.end_time=2e-5",
+                 "--out", tmp_out]) == 2
+    assert "error: SOZE_SIM_THREADS: " in capsys.readouterr().err
+    assert os.listdir(tmp_out) == []
 
 
 def test_sweep_parses_each_instance_once(tmp_out, monkeypatch):

@@ -191,11 +191,14 @@ def test_signal_for_overwritten_history_raises():
     # the run ends at 60us; 30us lies far behind the kept history
     with pytest.raises(ValueError, match="overwritten"):
         eng.deliver_signal("fa", 30e-6)
-    # the queue-lag mode keeps every row and still answers
+    # the queue-lag mode keeps the rows from the oldest emission row of the
+    # last read on: 30us lies behind them, the run's end does not
     eng = FluidSimulation(topo, flows,
                           replace(cfg, signal_delay_mode="propagation_plus_queue"))
     eng.run()
-    assert eng.deliver_signal("fa", 30e-6) > 0.0
+    with pytest.raises(ValueError, match="overwritten"):
+        eng.deliver_signal("fa", 30e-6)
+    assert eng.deliver_signal("fa", 60e-6) > 0.0
 
 
 def test_fixed_lag_history_does_not_grow_with_end_time():
@@ -355,17 +358,122 @@ def test_signal_is_zero_before_first_ack():
 
 
 def test_propagation_plus_queue_mode_lags_more():
-    topo, flows, cfg = pinned_rate_setup(mode="propagation_plus_queue")
-    eng = FluidSimulation(topo, flows, cfg)
-    eng.run()
     t = 50e-6
     base_lag_signal = 0.5 * (t - 0.5e-6 - 20e-6)
-    got = eng.deliver_signal("fa", t)
+    got = signal_at("fa", t, mode="propagation_plus_queue")
     # queueing on the path delays the reflection, so the signal trails the
     # fixed-rtt value; the emission time solves t_e = t - rtt - D(t_e)
     assert got < base_lag_signal
     d = got  # delay sampled at emission time equals the lag it induced
     assert d == pytest.approx(0.5 * (t - 0.5e-6 - d - 20e-6), rel=1e-6)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({}, id="per_rtt"),
+    pytest.param({"update_mode": "per_packet"}, id="per_packet"),
+    pytest.param({"controller": "aimd"}, id="aimd"),
+    pytest.param({"signal_delay_mode": "propagation_plus_queue"},
+                 id="propagation_plus_queue"),
+])
+def test_coarse_sampling_leaves_the_run_unchanged(change):
+    """Signals are delivered only on update and sample steps; a run sampled
+    every step and the same run sampled every seventh step agree bit for
+    bit at their shared samples, so no update reads a stale signal."""
+    topo, flows = two_rtt_flows(1)
+    change = dict(change)
+    if change.pop("controller", None):
+        # every other flow runs AIMD, so some steps update only AIMD flows
+        flows = [replace(f, controller="aimd") if j % 2 else f
+                 for j, f in enumerate(flows)]
+    dt = 0.2e-6
+    cfg = SimConfig(dt=dt, end_time=100e-6, control=ControlParams(),
+                    sampling_interval=dt, **change)
+    dense = run(topo, flows, cfg)
+    coarse = run(topo, flows, replace(cfg, sampling_interval=7 * dt))
+    assert len(coarse.times) > 10 and dense.signals.any()
+    for name in ("times", "rates", "signals", "queue_delays"):
+        assert np.array_equal(getattr(dense, name)[::7], getattr(coarse, name))
+
+
+def latest_root_signals(hist, routes, rtt, eligible, t, filled, dt):
+    """Queue-lag maxQD per flow by brute force over the full queue history
+    ``hist`` (row k: queues after step k): ``G`` at every row, the last row
+    with ``G <= t``, then one linear solve in the following segment.  Also
+    returns whether an earlier segment of some flow crosses ``t`` too."""
+    sig = np.zeros(len(routes))
+    earlier_root = False
+    rows = np.arange(filled + 1)
+    for j, route in enumerate(routes):
+        g = rows * dt + rtt[j] + hist[:filled + 1, route].sum(axis=1)
+        below = np.flatnonzero(g <= t)
+        if t < eligible[j] or below.size == 0:
+            continue
+        r = below[-1]
+        earlier_root |= bool(np.any((g[:r] <= t) & (g[1:r + 1] > t)))
+        frac = (t - g[r]) / (g[r + 1] - g[r]) if r < filled else 0.0
+        nxt = min(r + 1, filled)
+        sig[j] = (hist[r, route] * (1.0 - frac) + hist[nxt, route] * frac).max()
+    return sig, earlier_root
+
+
+def test_queue_lag_signal_is_the_latest_root():
+    """Two links fill and then drain together under a two-hop probe, so the
+    probe's route queue sum falls twice as fast as time runs: its
+    ``g(e) = e + base RTT + queue sum(e)`` decreases and ``g(e) = t`` has
+    several roots.  Every delivered signal matches the brute-force latest
+    root over the full history, across the ring's growth."""
+    topo = build_topology({
+        "nodes": ["a", "b", "c"],
+        "links": [
+            {"src": "a", "dst": "b", "bandwidth": 100e9, "prop_delay": 0.25e-6},
+            {"src": "b", "dst": "c", "bandwidth": 100e9, "prop_delay": 0.25e-6},
+        ],
+    })
+    flows = [
+        FlowSpec("burst_ab", ("a->b",), initial_rate=200e9, stop_time=10e-6),
+        FlowSpec("burst_bc", ("b->c",), initial_rate=200e9, stop_time=10e-6),
+        FlowSpec("probe", ("a->b", "b->c"), initial_rate=1e6),
+    ]
+    dt = 0.125e-6
+    control = default_params(update_interval=1.0, rate_cap=300e9)
+    cfg = SimConfig(dt=dt, end_time=40e-6, control=control, sampling_interval=dt,
+                    signal_delay_mode="propagation_plus_queue")
+    eng = FluidSimulation(topo, flows, cfg)
+    first_ring = eng._hist_rows
+    trace = eng.run()
+    assert eng._hist_rows > first_ring
+    lidx = {lid: i for i, lid in enumerate(trace.link_ids)}
+    routes = [[lidx[lid] for lid in f.route] for f in flows]
+    rtt = np.array([trace.base_rtts[f.id] for f in flows])
+    eligible = rtt + np.array([f.start_time for f in flows])
+    hist = trace.queue_delays
+    several = 0
+    for k in range(1, len(trace.times)):
+        ref, earlier = latest_root_signals(hist, routes, rtt, eligible,
+                                           trace.times[k], k, dt)
+        ref = np.where(trace.rates[k] > 0, ref, 0.0)
+        np.testing.assert_allclose(trace.signals[k], ref, rtol=1e-12, atol=1e-20)
+        several += earlier
+    assert several > 20
+    filled = len(trace.times) - 1
+    for t in (trace.times[-1], trace.times[-1] + 2.5 * dt):
+        ref, _ = latest_root_signals(hist, routes, rtt, eligible, t, filled, dt)
+        for j, f in enumerate(flows):
+            assert eng.deliver_signal(f.id, t) == pytest.approx(
+                ref[j], rel=1e-12, abs=1e-20)
+
+
+def test_queue_lag_history_does_not_grow_with_end_time():
+    """Once a burst has drained, the queue-lag ring stops growing: its rows
+    span the longest lag, not the run."""
+    topo, flows, cfg = pinned_rate_setup(mode="propagation_plus_queue")
+    flows[1] = replace(flows[1], stop_time=30e-6)
+    rows = []
+    for end in (60e-6, 300e-6, 1200e-6):
+        eng = FluidSimulation(topo, flows, replace(cfg, end_time=end))
+        eng.run()
+        rows.append(eng._hist.shape[0])
+    assert rows[0] == rows[1] == rows[2] < 60e-6 / cfg.dt
 
 
 # -- end-to-end equilibria ----------------------------------------------------

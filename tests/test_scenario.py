@@ -269,9 +269,10 @@ def _paths(node, prefix=()):
 
 FUZZ_SITES = [(b, path) for b, base in enumerate(FUZZ_BASES)
               for path in _paths(base)]
-# small integers keep drawn topology sizes and flow counts small
-_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
-                  st.text(max_size=4))
+# integers are small, or large enough that the size pre-flight refuses them
+# as topology sizes or flow counts; sizes in between would take long to build
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                  st.integers(min_value=10**12), st.floats(), st.text(max_size=4))
 _VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=3),
                    st.dictionaries(st.text(max_size=3), _LEAF, max_size=3))
 
