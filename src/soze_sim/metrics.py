@@ -134,11 +134,12 @@ def convergence_time(
     steady_lo = int(np.searchsorted(times, times[-1] - win_dur - 1e-15, "left"))
     steady = slice(lo + steady_lo, hi)
     util = _utilization_all(trace, steady, on_link)
-    osc: dict[str, float] = {}
-    for fid in flow_ids:
-        series = trace.rates[steady, col[fid]]
-        mean = float(series.mean())
-        osc[fid] = float(series.std() / mean) if mean > 0 else 0.0
+    # one contiguous row per flow, so each row reduces as its own series would
+    series = np.ascontiguousarray(trace.rates[steady][:, [col[f] for f in flow_ids]].T)
+    mean = series.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = series.std(axis=1) / mean
+    osc = dict(zip(flow_ids, np.where(mean > 0, ratio, 0.0).tolist()))
 
     return ConvergenceReport(
         converged=conv_time is not None,

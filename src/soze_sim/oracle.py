@@ -4,12 +4,37 @@ The solver repeatedly finds the link whose residual capacity divided by the
 total weight of its still-unfrozen flows is smallest, freezes those flows at
 ``weight * share``, and subtracts their rates everywhere.  The result is the
 unique weighted max-min fair allocation; the simulator is judged against it.
+
+Each freeze round is a few array operations over two layouts built once per
+call: the flat route hops (``hop_link[h]``, ``hop_flow[h]``; flow ``i`` owns
+hops ``start[i]:start[i + 1]``) and a link -> flows CSR index that lists each
+link's flows once, in flow order.  A round
+
+- sums the unfrozen weight on every link with ``np.bincount`` over the live
+  hops, which adds each link's weights in flow order, starting from zero;
+- takes ``max(residual, 0) / weight sum`` on the links that still carry an
+  unfrozen flow, and ties every link whose share is within a relative
+  ``1e-9`` of the smallest;
+- visits the tied links in the string order of their ids, records each one's
+  share in ``fair_share`` (also when an earlier tied link already froze all
+  its flows) and freezes its still-unfrozen flows in CSR order;
+- subtracts the new rates from the residuals with ``np.subtract.at`` over the
+  frozen flows' hops in freeze order.  ``subtract.at`` is unbuffered and runs
+  in index order, so each residual gets the same float subtractions in the
+  same order as a loop over the frozen flows' routes would make: a vector sum
+  could round differently and move a later round's ties.
+
+``rates`` and ``bottlenecks`` list flows in freeze order and ``fair_share``
+lists links in the order they saturated, so nothing follows string hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .model import FlowSpec, Topology
 
@@ -35,6 +60,14 @@ class AllocationResult:
         }
 
 
+def _hops_of(flows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The hop indices of ``flows``, flow after flow, each route in order."""
+    first = start[flows]
+    count = start[flows + 1] - first
+    skip = np.cumsum(count) - count
+    return np.arange(count.sum()) + np.repeat(first - skip, count)
+
+
 def water_fill(
     topology: Topology,
     flows: Sequence[FlowSpec],
@@ -48,6 +81,8 @@ def water_fill(
     ordering and of how ties are grouped.
     """
     w: dict[str, float] = {}
+    ids: list[str] = []
+    paths: list[tuple[str, ...]] = []
     for f in flows:
         if not f.route:
             raise ValueError(f"flow {f.id!r}: empty route")
@@ -55,60 +90,86 @@ def water_fill(
         if not wf > 0:
             raise ValueError(f"flow {f.id!r}: weight must be > 0")
         w[f.id] = float(wf)
+        ids.append(f.id)
+        paths.append(tuple(f.route))
 
-    residual = {l.id: l.bandwidth for l in topology.links}
-    on_link: dict[str, list[str]] = {l.id: [] for l in topology.links}
-    for f in flows:
-        for lid in f.route:
-            if lid not in residual:
-                raise ValueError(f"flow {f.id!r}: unknown link {lid!r}")
-            on_link[lid].append(f.id)
-
-    unfrozen = {f.id for f in flows}
-    routes = {f.id: tuple(f.route) for f in flows}
-    rates: dict[str, float] = {}
-    bottleneck: dict[str, str] = {}
-    fair_share: dict[str, float] = {}
-    saturated: set[str] = set()
-
-    while unfrozen:
-        shares: dict[str, float] = {}
-        for lid, fids in on_link.items():
-            if lid in saturated:
-                continue
-            live = [fid for fid in fids if fid in unfrozen]
-            if not live:
-                continue
-            shares[lid] = max(residual[lid], 0.0) / sum(w[fid] for fid in live)
-        if not shares:
-            raise RuntimeError("water filling stalled with unfrozen flows")
-        lowest = min(shares.values())
-        tied = sorted(
-            lid for lid, s in shares.items() if s <= lowest * (1.0 + _REL_TOL)
+    link_ids = [l.id for l in topology.links]
+    column = {lid: j for j, lid in enumerate(link_ids)}
+    try:
+        hop_link = np.array(
+            list(map(column.__getitem__, chain.from_iterable(paths))), dtype=np.intp
         )
-        # a list in freeze order: the residual sums below must not depend
-        # on string hashing
-        froze: list[str] = []
-        for lid in tied:
-            share = shares[lid]
-            fair_share[lid] = share
-            saturated.add(lid)
-            for fid in on_link[lid]:
-                if fid not in rates:
-                    froze.append(fid)
-                    rates[fid] = w[fid] * share
-                    bottleneck[fid] = lid
-        for fid in froze:
-            unfrozen.discard(fid)
-            for lid in routes[fid]:
-                residual[lid] -= rates[fid]
+    except KeyError as exc:
+        lid = exc.args[0]
+        fid = next(fid for fid, path in zip(ids, paths) if lid in path)
+        raise ValueError(f"flow {fid!r}: unknown link {lid!r}") from None
+    wts = np.array([w[fid] for fid in ids])
+    count = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    start = np.zeros(len(paths) + 1, dtype=np.intp)
+    np.cumsum(count, out=start[1:])
+    hop_flow = np.repeat(np.arange(len(paths)), count)
+    hop_w = wts[hop_flow]
 
+    # link -> flows CSR in flow order; a flow listed once per link even if
+    # its route repeats the link
+    by_link = np.argsort(hop_link, kind="stable")
+    pair_link, pair_flow = hop_link[by_link], hop_flow[by_link]
+    once = np.ones(len(by_link), dtype=bool)
+    once[1:] = (pair_link[1:] != pair_link[:-1]) | (pair_flow[1:] != pair_flow[:-1])
+    link_flows = pair_flow[once]
+    link_start = np.searchsorted(pair_link[once], np.arange(len(link_ids) + 1))
+    # position of each link id in string order: ties freeze in that order
+    rank = np.empty(len(link_ids), dtype=np.intp)
+    rank[sorted(range(len(link_ids)), key=link_ids.__getitem__)] = np.arange(
+        len(link_ids)
+    )
+
+    residual = np.array([l.bandwidth for l in topology.links], dtype=float)
+    frozen = np.zeros(len(paths), dtype=bool)
+    rate = np.empty(len(paths))
+    bottleneck = np.empty(len(paths), dtype=np.intp)
+    froze: list[np.ndarray] = []
+    fair_share: dict[str, float] = {}
+    live = np.arange(len(hop_link))
+    left = len(paths)
+
+    while left:
+        wsum = np.bincount(
+            hop_link[live], weights=hop_w[live], minlength=len(link_ids)
+        )
+        busy = np.flatnonzero(wsum > 0)
+        if not busy.size:
+            raise RuntimeError("water filling stalled with unfrozen flows")
+        shares = np.maximum(residual[busy], 0.0) / wsum[busy]
+        tie = shares <= shares.min() * (1.0 + _REL_TOL)
+        tied, tied_shares = busy[tie], shares[tie]
+        order = np.argsort(rank[tied])
+        first = len(froze)
+        for j, share in zip(tied[order].tolist(), tied_shares[order].tolist()):
+            fair_share[link_ids[j]] = share
+            on = link_flows[link_start[j]:link_start[j + 1]]
+            new = on[~frozen[on]]
+            if new.size:
+                frozen[new] = True
+                rate[new] = wts[new] * share
+                bottleneck[new] = j
+                froze.append(new)
+        done = np.concatenate(froze[first:])
+        hops = _hops_of(done, start)
+        np.subtract.at(residual, hop_link[hops], rate[hop_flow[hops]])
+        live = live[~frozen[hop_flow[live]]]
+        left -= done.size
+
+    order = np.concatenate(froze) if froze else np.empty(0, dtype=np.intp)
+    froze_ids = [ids[i] for i in order.tolist()]
     return AllocationResult(
-        rates=rates,
-        bottlenecks=bottleneck,
+        rates=dict(zip(froze_ids, rate[order].tolist())),
+        bottlenecks=dict(
+            zip(froze_ids, [link_ids[j] for j in bottleneck[order].tolist()])
+        ),
         fair_share=fair_share,
         weights=w,
-        routes=routes,
+        routes=dict(zip(ids, paths)),
     )
 
 

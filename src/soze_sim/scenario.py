@@ -215,6 +215,17 @@ def _integer(raw: Mapping, key: str, path: str, default: int | None = None,
     return value
 
 
+def _text(raw: Mapping, key: str, path: str, default: str) -> str:
+    """``raw[key]`` as a non-empty string, ``default`` when unset; an integer
+    reads as its digits.  ``path`` is the enclosing field, "" at the top
+    level."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (str, int)) or value == "":
+        name = f"{path}.{key}" if path else key
+        raise ScenarioError(f"{name}: expected a non-empty string, got {value!r}")
+    return str(value)
+
+
 def _choice(raw: Mapping, key: str, path: str, choices: Sequence[str],
             default: str) -> str:
     value = raw.get(key, default)
@@ -292,7 +303,8 @@ def _expand_group(
 ) -> list[FlowSpec]:
     path = f"flow_groups[{gi}]"
     count = _integer(group, "count", path, minimum=1)
-    prefix = str(group.get("id_prefix", f"g{gi}"))
+    prefix = _text(group, "id_prefix", path, f"g{gi}")
+    controller = _text(group, "controller", path, default_controller)
     hosts = hosts_of(topology)
     start0 = _number(group, "start", path, 0.0)
     stagger = _section(group, "start_stagger", path)
@@ -343,7 +355,7 @@ def _expand_group(
                 weight_schedule=((min(0.0, start), weight),),
                 start_time=start,
                 stop_time=_number(group, "stop", path, None),
-                controller=str(group.get("controller", default_controller)),
+                controller=controller,
                 initial_rate=rate,
             )
         )
@@ -400,7 +412,17 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     for spec in overrides:
         apply_override(raw, spec)
 
-    name = str(raw.get("name", "scenario"))
+    name = _text(raw, "name", "", "scenario")
+    if "/" in name or "\\" in name:
+        # the name is the stem of the output file names
+        raise ScenarioError(
+            f"name: expected a name without a path separator, got {name!r}"
+        )
+    require_converged = raw.get("require_converged", False)
+    if not isinstance(require_converged, bool):
+        raise ScenarioError(
+            f"require_converged: expected true or false, got {require_converged!r}"
+        )
     if "topology" not in raw:
         raise ScenarioError("topology: missing")
     _check_size(raw)
@@ -415,7 +437,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     ctrl_raw = _section(raw, "control", "")
     aimd_raw = _section(raw, "aimd", "")
     seed = _integer(sim_raw, "seed", "sim", 0, minimum=0)
-    default_controller = str(raw.get("default_controller", "soze"))
+    default_controller = _text(raw, "default_controller", "", "soze")
     rng = np.random.default_rng(seed)
 
     flows: list[FlowSpec] = []
@@ -423,7 +445,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         path = f"flows[{i}]"
         if not isinstance(entry, Mapping):
             raise ScenarioError(f"{path}: expected a mapping, got {entry!r}")
-        fid = str(entry.get("id", f"f{i}"))
+        fid = _text(entry, "id", path, f"f{i}")
         start = _number(entry, "start", path, 0.0)
         flows.append(
             FlowSpec(
@@ -432,7 +454,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
                 weight_schedule=_weight_schedule(entry, start, path),
                 start_time=start,
                 stop_time=_number(entry, "stop", path, None),
-                controller=str(entry.get("controller", default_controller)),
+                controller=_text(entry, "controller", path, default_controller),
                 initial_rate=_number(entry, "initial_rate", path, None),
             )
         )
@@ -503,7 +525,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         topology=topology,
         flows=flows,
         sim=sim,
-        require_converged=bool(raw.get("require_converged", False)),
+        require_converged=require_converged,
         convergence_eps=eps,
         convergence_window=window,
         convergence_judge=judge,

@@ -263,6 +263,22 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
     ("weighted_split", "flows.0.weight=true", "flows[0].weight"),
     ("weighted_split", "flows.0.weight_schedule=[[0.0, true]]",
      "flows[0].weight_schedule"),
+    ("weighted_split", 'require_converged="false"', "require_converged"),
+    ("weighted_split", "require_converged=1", "require_converged"),
+    ("weighted_split", "name=[1,2]", "name"),
+    ("weighted_split", "name=runs/w", "name"),
+    ("weighted_split", "flows.0.id=[1]", "flows[0].id"),
+    ("weighted_split", "flows.0.id={a: 1}", "flows[0].id"),
+    ("weighted_split", "flows.0.id=true", "flows[0].id"),
+    ("weighted_split", "flows.0.id=1.5", "flows[0].id"),
+    ("weighted_split", "flows.0.id=null", "flows[0].id"),
+    ("weighted_split", 'flows.0.id=""', "flows[0].id"),
+    ("weighted_split", "flows.0.controller=[soze]", "flows[0].controller"),
+    ("weighted_split", "default_controller=null", "default_controller"),
+    ("fat_tree_random", "flow_groups.0.id_prefix=[r]",
+     "flow_groups[0].id_prefix"),
+    ("fat_tree_random", "flow_groups.0.controller=false",
+     "flow_groups[0].controller"),
 ])
 def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
                                                  field):

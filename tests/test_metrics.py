@@ -61,6 +61,24 @@ def test_already_converged_trace_reports_zero():
     assert rep.final_fairness_error == 0.0
 
 
+def test_rate_oscillation_matches_per_flow_series():
+    rng = np.random.default_rng(4)
+    series = {f"f{i}": 1e9 * (5 + rng.standard_normal(400)) for i in range(6)}
+    series["idle"] = np.zeros(400)
+    series["sign"] = np.where(np.arange(400) % 2, 1e9, -1e9)
+    tr = synthetic_trace(series)
+    rates = {fid: 1e9 for fid in reversed(series)}
+    rep = convergence_time(tr, allocation(rates), window=50)
+    lo = int(np.searchsorted(tr.times, tr.times[-1] - 50e-6 - 1e-15))
+    expected = {}
+    for fid in rates:
+        steady = tr.rates[lo:, tr.flow_ids.index(fid)]
+        mean = float(steady.mean())
+        expected[fid] = float(steady.std() / mean) if mean > 0 else 0.0
+    assert list(rep.rate_oscillation.items()) == list(expected.items())
+    assert rep.rate_oscillation["idle"] == 0.0
+
+
 def test_never_converging_trace():
     tr = synthetic_trace({"a": np.full(100, 10e9)})
     rep = convergence_time(tr, allocation({"a": 25e9}))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soze_sim import (
     FlowSpec,
@@ -12,8 +14,10 @@ from soze_sim import (
     build_topology,
     fairness_error,
     verify_goal_equivalence,
+    load_scenario,
     water_fill,
 )
+from soze_sim.oracle import _REL_TOL
 
 from conftest import (
     flow_on_link,
@@ -43,6 +47,134 @@ def brute_force_fill(topology, flows, weights, step=0.01e9):
             else:
                 frozen.add(f.id)
     return rates
+
+
+def loop_water_fill(topology, flows):
+    """Reference: progressive filling as a plain loop over dicts and lists.
+    Each link's weight sum is an explicit ``acc += w`` in flow order, since
+    ``sum()`` compensates float rounding from Python 3.12 on."""
+    w = {f.id: float(f.weight_schedule[0][1]) for f in flows}
+    residual = {l.id: l.bandwidth for l in topology.links}
+    on_link = {l.id: [] for l in topology.links}
+    for f in flows:
+        for lid in f.route:
+            if lid not in residual:
+                raise ValueError(f"flow {f.id!r}: unknown link {lid!r}")
+            on_link[lid].append(f.id)
+    unfrozen = {f.id for f in flows}
+    routes = {f.id: tuple(f.route) for f in flows}
+    rates, bottleneck, fair_share, saturated = {}, {}, {}, set()
+    while unfrozen:
+        shares = {}
+        for lid, fids in on_link.items():
+            live = [fid for fid in fids if fid in unfrozen]
+            if lid in saturated or not live:
+                continue
+            acc = 0.0
+            for fid in live:
+                acc += w[fid]
+            shares[lid] = max(residual[lid], 0.0) / acc
+        lowest = min(shares.values())
+        tied = sorted(
+            lid for lid, s in shares.items() if s <= lowest * (1.0 + _REL_TOL)
+        )
+        froze = []
+        for lid in tied:
+            fair_share[lid] = shares[lid]
+            saturated.add(lid)
+            for fid in on_link[lid]:
+                if fid not in rates:
+                    froze.append(fid)
+                    rates[fid] = w[fid] * shares[lid]
+                    bottleneck[fid] = lid
+        for fid in froze:
+            unfrozen.discard(fid)
+            for lid in routes[fid]:
+                residual[lid] -= rates[fid]
+    return rates, bottleneck, fair_share
+
+
+def assert_matches_loop(topology, flows):
+    """``water_fill`` equals the loop exactly, item order included."""
+    alloc = water_fill(topology, flows)
+    rates, bottleneck, fair_share = loop_water_fill(topology, flows)
+    assert list(alloc.rates.items()) == list(rates.items())
+    assert list(alloc.bottlenecks.items()) == list(bottleneck.items())
+    assert list(alloc.fair_share.items()) == list(fair_share.items())
+    return alloc
+
+
+@pytest.mark.parametrize("k, count", [(4, 60), (8, 400)])
+@pytest.mark.parametrize("seed", [1, 5, 23])
+def test_fat_tree_matches_loop(k, count, seed):
+    sc = load_scenario(scenario_path("fat_tree_random"), [
+        f"topology.K={k}", f"flow_groups.0.count={count}", f"sim.seed={seed}",
+    ])
+    alloc = assert_matches_loop(sc.topology, sc.flows)
+    assert len(alloc.rates) == count
+
+
+def test_equal_weights_and_bandwidths_tie_many_links_in_one_round():
+    sc = load_scenario(scenario_path("fat_tree_random"), [
+        "topology.K=4", "flow_groups.0.count=64", "flow_groups.0.weight=1.0",
+        "sim.seed=2",
+    ])
+    alloc = assert_matches_loop(sc.topology, sc.flows)
+    shares = list(alloc.fair_share.values())
+    # some round saturated several links at once
+    assert len(set(shares)) < len(shares)
+
+
+def test_tied_link_frozen_out_by_an_earlier_tied_link_is_recorded():
+    """Two equal links in series carry one flow: both tie, the first in
+    string order freezes the flow, and the second still counts as
+    saturated at the same share."""
+    topo = build_topology({
+        "nodes": ["a", "b", "c"],
+        "links": [
+            {"src": "b", "dst": "c", "bandwidth": 40e9, "prop_delay": 1e-6,
+             "bidirectional": False},
+            {"src": "a", "dst": "b", "bandwidth": 40e9, "prop_delay": 1e-6,
+             "bidirectional": False},
+        ],
+    })
+    flows = [FlowSpec("f", ("a->b", "b->c"), ((0.0, 2.0),))]
+    alloc = assert_matches_loop(topo, flows)
+    assert list(alloc.fair_share.items()) == [("a->b", 20e9), ("b->c", 20e9)]
+    assert alloc.bottlenecks == {"f": "a->b"}
+
+
+def test_unknown_link_rejected():
+    flows = [flow_on_link("ok"), FlowSpec("bad", ("a->b", "b->z"), ((0.0, 1.0),))]
+    with pytest.raises(ValueError, match=r"'bad': unknown link 'b->z'"):
+        water_fill(single_link(), flows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.lists(st.sampled_from([25e9, 50e9, 100e9]), min_size=1, max_size=5),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4),
+                  st.sampled_from([0.5, 1.0, 1.0, 3.0])),
+        min_size=1, max_size=8,
+    ),
+)
+def test_random_lines_match_loop(bandwidths, spans):
+    """Flows over sub-paths of a line of links, with few distinct weights
+    and bandwidths so that ties are common."""
+    n = len(bandwidths)
+    topo = build_topology({
+        "nodes": [f"n{i}" for i in range(n + 1)],
+        "links": [{"src": f"n{i}", "dst": f"n{i + 1}", "bandwidth": b,
+                   "prop_delay": 1e-6, "bidirectional": False}
+                  for i, b in enumerate(bandwidths)],
+    })
+    flows = []
+    for i, (a, b, weight) in enumerate(spans):
+        a, b = sorted((a % n, b % n))
+        route = tuple(f"n{j}->n{j + 1}" for j in range(a, b + 1))
+        flows.append(FlowSpec(f"f{i}", route, ((0.0, weight),)))
+    assert_matches_loop(topo, flows)
 
 
 def test_single_link_three_to_one_split():

@@ -155,6 +155,28 @@ def test_flow_group_stagger_and_rate_split():
     assert starts == [i * 1e-5 for i in range(5)]
 
 
+def test_require_converged_reads_only_booleans():
+    assert not scenario_from_dict(BASE).require_converged
+    for value in (True, False):
+        assert scenario_from_dict(
+            {**BASE, "require_converged": value}
+        ).require_converged is value
+    for value in ("false", "true", 1, 0, None, [True]):
+        with pytest.raises(ScenarioError, match="require_converged"):
+            scenario_from_dict({**BASE, "require_converged": value})
+
+
+def test_integer_names_and_ids_read_as_digits():
+    raw = copy.deepcopy(BASE)
+    raw["name"] = 7
+    raw["flows"][0]["id"] = 12
+    raw["default_controller"] = "aimd"
+    sc = scenario_from_dict(raw)
+    assert sc.name == "7"
+    assert [f.id for f in sc.flows] == ["12", "f1"]
+    assert {f.controller for f in sc.flows} == {"aimd"}
+
+
 def test_convergence_and_outputs_sections():
     raw = yaml.safe_load(yaml.safe_dump(BASE))
     raw["convergence"] = {"eps": 0.002, "window": 40}
