@@ -29,7 +29,6 @@ from .model import (
     Link,
     Topology,
     base_rtt,
-    build_topology,
     fat_tree,
     route_flow,
     star,
@@ -41,7 +40,13 @@ from .oracle import (
     verify_goal_equivalence,
     water_fill,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    build_topology,
+    load_scenario,
+    scenario_from_dict,
+)
 
 __all__ = [
     "AimdConfig",

@@ -25,7 +25,10 @@ A sweep writes ``<name>.sweep_<param>.json``, one row per value:
 * ``param``, ``value``, ``wall_time_s`` and ``summary_path``.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence required but not
-reached.  ``SOZE_SIM_THREADS`` caps how many sweep instances run at once.
+reached.  A configuration error -- a scenario file that cannot be read or is
+not YAML, a malformed field, ``--set`` or ``--values``, a bad
+``SOZE_SIM_THREADS`` -- prints ``error: <field, file or flag>: ...`` and no
+traceback.  ``SOZE_SIM_THREADS`` caps how many sweep instances run at once.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import yaml
-
 from . import metrics
 from .control import check_lemma_conditions
 from .fluid import FluidSimulation, Trace, _atomic_write
@@ -51,6 +52,7 @@ from .scenario import (
     ScenarioError,
     apply_sweep_value,
     load_scenario,
+    parse_yaml,
     scenario_from_dict,
 )
 
@@ -202,12 +204,8 @@ def execute_scenario(scenario: Scenario, out_dir: str,
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario, overrides=args.set or ())
-        result = execute_scenario(scenario, args.out)
-    except (ScenarioError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = load_scenario(args.scenario, overrides=args.set or ())
+    result = execute_scenario(scenario, args.out)
     summary = result.summary
     print(f"scenario: {summary['scenario']}")
     print(f"trace:    {result.trace_path}")
@@ -262,32 +260,21 @@ def _describe_epoch(ep: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    values = [v for v in (args.values or "").split(",") if v != ""]
+    values = [parse_yaml(v, "--values") for v in args.values.split(",") if v]
     if not values:
-        print("error: empty sweep value list", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        with open(args.scenario) as fh:
-            raw = yaml.safe_load(fh)
-        parsed_values = [yaml.safe_load(v) for v in values]
-        # validate the base scenario and the parameter name up front
-        base = scenario_from_dict(raw, overrides=args.set or ())
-        apply_sweep_value(copy.deepcopy(base.raw), args.param, parsed_values[0])
-        workers = _thread_cap(len(parsed_values))
-    except (ScenarioError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ScenarioError(f"--values: expected a comma-separated list, "
+                            f"got {args.values!r}")
+    # validate the base scenario and the parameter name up front
+    base = load_scenario(args.scenario, overrides=args.set or ())
+    apply_sweep_value(copy.deepcopy(base.raw), args.param, values[0])
+    workers = _thread_cap(len(values))
 
-    payloads = [(base.raw, args.param, v, args.out) for v in parsed_values]
-    try:
-        if workers <= 1:
-            results = [_sweep_worker(p) for p in payloads]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_worker, payloads))
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    payloads = [(base.raw, args.param, v, args.out) for v in values]
+    if workers <= 1:
+        results = [_sweep_worker(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_worker, payloads))
 
     rows = [row for row, _ in results]
     os.makedirs(args.out, exist_ok=True)
@@ -324,19 +311,15 @@ def _thread_cap(n_tasks: int) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario, overrides=args.set or ())
-        table = []
-        for t0, t1, active, alloc in epoch_allocations(scenario):
-            table.append({
-                "start": t0,
-                "end": t1,
-                "flows": [f.id for f in active],
-                "allocation": alloc.as_dict() if alloc else None,
-            })
-    except (ScenarioError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = load_scenario(args.scenario, overrides=args.set or ())
+    table = []
+    for t0, t1, active, alloc in epoch_allocations(scenario):
+        table.append({
+            "start": t0,
+            "end": t1,
+            "flows": [f.id for f in active],
+            "allocation": alloc.as_dict() if alloc else None,
+        })
     print(json.dumps({"scenario": scenario.name, "epochs": table},
                      indent=2, sort_keys=True))
     return EXIT_OK
@@ -373,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

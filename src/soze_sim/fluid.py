@@ -61,6 +61,10 @@ class SimConfigError(ValueError):
     """Raised when a simulation configuration is inconsistent."""
 
 
+SIGNAL_DELAY_MODES = ("fixed_rtt", "propagation_plus_queue")
+UPDATE_MODES = ("per_rtt", "per_packet")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run parameters.
@@ -75,8 +79,8 @@ class SimConfig:
     dt: float
     end_time: float
     control: ControlParams = ControlParams()
-    signal_delay_mode: str = "fixed_rtt"   # | "propagation_plus_queue"
-    update_mode: str = "per_rtt"           # | "per_packet"
+    signal_delay_mode: str = "fixed_rtt"   # one of SIGNAL_DELAY_MODES
+    update_mode: str = "per_rtt"           # one of UPDATE_MODES
     packet_size: float = 8000.0            # bits
     seed: int = 0
     sampling_interval: float | None = None
@@ -87,11 +91,11 @@ class SimConfig:
             raise SimConfigError("dt must be > 0")
         if not self.end_time >= self.dt:
             raise SimConfigError("end_time must cover at least one step")
-        if self.signal_delay_mode not in ("fixed_rtt", "propagation_plus_queue"):
+        if self.signal_delay_mode not in SIGNAL_DELAY_MODES:
             raise SimConfigError(
                 f"unknown signal_delay_mode {self.signal_delay_mode!r}"
             )
-        if self.update_mode not in ("per_rtt", "per_packet"):
+        if self.update_mode not in UPDATE_MODES:
             raise SimConfigError(f"unknown update_mode {self.update_mode!r}")
         if not self.packet_size > 0:
             raise SimConfigError("packet_size must be > 0")

@@ -77,8 +77,6 @@ def convergence_time(
     start: float | None = None,
     end: float | None = None,
     after: float | None = None,
-    control_interval: float | None = None,
-    rtt: float | None = None,
 ) -> ConvergenceReport:
     """Detect when the trace's rates settle within ``eps`` of the oracle.
 
@@ -93,10 +91,8 @@ def convergence_time(
     flow_ids = list(allocation.rates)
     if not flow_ids:
         raise ValueError("allocation has no flows")
-    if control_interval is None:
-        control_interval = max(trace.control_intervals[f] for f in flow_ids)
-    if rtt is None:
-        rtt = max(trace.base_rtts[f] for f in flow_ids)
+    control_interval = max(trace.control_intervals[f] for f in flow_ids)
+    rtt = max(trace.base_rtts[f] for f in flow_ids)
     if after is None:
         in_win = [e.time for e in trace.events
                   if times[0] - 1e-15 <= e.time <= times[-1] + 1e-15]
@@ -133,7 +129,8 @@ def convergence_time(
 
     steady_lo = int(np.searchsorted(times, times[-1] - win_dur - 1e-15, "left"))
     steady = slice(lo + steady_lo, hi)
-    util = _utilization_all(trace, steady, on_link)
+    util = {lid: _link_utilization(trace, steady, lid, on_link[lid])
+            for lid in trace.link_ids}
     # one contiguous row per flow, so each row reduces as its own series would
     series = np.ascontiguousarray(trace.rates[steady][:, [col[f] for f in flow_ids]].T)
     mean = series.mean(axis=1)
@@ -151,17 +148,14 @@ def convergence_time(
     )
 
 
-def _utilization_all(trace: Trace, rows: slice,
-                     on_link: dict[str, list[int]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for lid in trace.link_ids:
-        fidx = on_link[lid]
-        if not fidx:
-            out[lid] = 0.0
-            continue
-        total = trace.rates[rows, :][:, fidx].sum(axis=1)
-        out[lid] = float((total / trace.bandwidths[lid]).mean())
-    return out
+def _link_utilization(trace: Trace, rows: slice, link: str,
+                      fidx: list[int]) -> float:
+    """Mean offered load / bandwidth on ``link`` over the trace ``rows``;
+    ``fidx`` are the columns of the flows that cross it."""
+    if not fidx:
+        return 0.0
+    total = trace.rates[rows, fidx].sum(axis=1)
+    return float((total / trace.bandwidths[link]).mean())
 
 
 def utilization(trace: Trace, link: str, window: tuple[float, float]) -> float:
@@ -173,11 +167,7 @@ def utilization(trace: Trace, link: str, window: tuple[float, float]) -> float:
     if link not in trace.link_ids:
         raise ValueError(f"unknown link {link!r}")
     lo, hi = _slice(trace, window[0], window[1])
-    fidx = _columns(trace)[1][link]
-    if not fidx:
-        return 0.0
-    total = trace.rates[lo:hi, fidx].sum(axis=1)
-    return float((total / trace.bandwidths[link]).mean())
+    return _link_utilization(trace, slice(lo, hi), link, _columns(trace)[1][link])
 
 
 def target_delay_error(

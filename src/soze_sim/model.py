@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 class TopologyError(ValueError):
@@ -155,39 +155,6 @@ def base_rtt(topology: Topology, route: Sequence[str]) -> float:
     """Zero-load round-trip time: twice the one-way propagation delay."""
     links = topology.link_by_id
     return 2.0 * sum(links[lid].prop_delay for lid in route)
-
-
-def build_topology(raw: Mapping) -> Topology:
-    """Build and validate a Topology from a parsed config mapping.
-
-    Expected shape::
-
-        {"nodes": ["a", "b"],
-         "links": [{"src": "a", "dst": "b", "bandwidth": 1e11,
-                    "prop_delay": 1e-6, "bidirectional": True}]}
-
-    ``bidirectional`` (default true) emits both directed links of the cable.
-    Link ids default to "src->dst".
-    """
-    try:
-        nodes = tuple(str(n) for n in raw["nodes"])
-    except KeyError:
-        raise TopologyError("topology: missing 'nodes'")
-    links: list[Link] = []
-    for i, entry in enumerate(raw.get("links", ())):
-        try:
-            src, dst = str(entry["src"]), str(entry["dst"])
-            bw = float(entry["bandwidth"])
-            delay = float(entry.get("prop_delay", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TopologyError(f"topology.links[{i}]: {exc}") from exc
-        lid = str(entry.get("id", f"{src}->{dst}"))
-        links.append(Link(lid, src, dst, bw, delay))
-        if entry.get("bidirectional", True):
-            links.append(Link(f"{dst}->{src}", dst, src, bw, delay))
-    topo = Topology(nodes=nodes, links=tuple(links))
-    topo.validate()
-    return topo
 
 
 def _both_directions(src: str, dst: str, bw: float, delay: float) -> list[Link]:

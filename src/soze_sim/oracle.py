@@ -84,6 +84,8 @@ def water_fill(
     ids: list[str] = []
     paths: list[tuple[str, ...]] = []
     for f in flows:
+        if f.id in w:
+            raise ValueError(f"flow {f.id!r}: duplicate id")
         if not f.route:
             raise ValueError(f"flow {f.id!r}: empty route")
         wf = weights[f.id] if weights is not None else f.weight_schedule[0][1]

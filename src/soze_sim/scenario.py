@@ -19,25 +19,44 @@ water-filling oracle::
 converge; ``judge: final`` judges only the last such epoch, for scenarios
 whose earlier epochs are join transients.  Every epoch is measured either
 way.
+
+``topology.kind: star`` (``n`` hosts) and ``fat_tree`` (``K``) give every
+link one ``bandwidth`` and ``prop_delay``; ``inline``, the default, lists
+nodes and cables::
+
+    topology:
+      nodes: [a, b]
+      links:
+        - {src: a, dst: b,        # node ids
+           bandwidth: 100e9,      # bits/s: finite, > 0
+           prop_delay: 1e-6,      # s: finite, >= 0; default 0
+           id: a->b,              # default "src->dst"
+           bidirectional: true}   # default true: also adds link "dst->src"
+
+Ids and names are non-empty strings; an integer reads as its digits.  A
+malformed field raises ``ScenarioError`` whose message starts with the
+field's name (``flows[0].weight``, ``topology.links[1].bandwidth``), or with
+the override or file it came from.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
 
 from .baselines import AimdConfig
 from .control import ControlParams
-from .fluid import SimConfig, physical_memory
+from .fluid import SIGNAL_DELAY_MODES, UPDATE_MODES, SimConfig, physical_memory
 from .model import (
     FlowSpec,
+    Link,
     Topology,
-    build_topology,
     fat_tree,
     hosts_of,
     route_flow,
@@ -51,6 +70,7 @@ class ScenarioError(ValueError):
 
 
 JUDGE_MODES = ("all", "final")
+TOPOLOGY_KINDS = ("inline", "star", "fat_tree")
 
 
 @dataclass
@@ -68,11 +88,21 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
+def parse_yaml(text: str | IO[str], source: str) -> Any:
+    """``text`` (a string or an open file) read as YAML; text that is not
+    YAML raises a ScenarioError naming ``source``."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        detail = (f"{exc.problem}, line {mark.line + 1}, column {mark.column + 1}"
+                  if mark else str(exc))
+        raise ScenarioError(f"{source}: expected valid YAML ({detail})") from exc
+
+
 def load_scenario(path: str, overrides: Sequence[str] = ()) -> Scenario:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be a mapping")
+        raw = parse_yaml(fh, path)
     return scenario_from_dict(raw, overrides=overrides)
 
 
@@ -85,40 +115,27 @@ def apply_override(raw: dict, spec: str) -> None:
     if "=" not in spec:
         raise ScenarioError(f"override {spec!r}: expected key=value")
     key, _, text = spec.partition("=")
-    try:
-        value = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"override {key}: unparsable value {text!r}") from exc
+    value = parse_yaml(text, f"override {key}")
     parts = key.split(".")
     node: Any = raw
-    for i, part in enumerate(parts[:-1]):
-        nxt = _descend(node, part, key)
-        if nxt is None:
-            nxt = {} if not parts[i + 1].isdigit() else []
-            _assign(node, part, nxt, key)
-        node = nxt
-    _assign(node, parts[-1], value, key)
+    for part, nxt in zip(parts, parts[1:]):
+        slot = _slot(node, part, key)
+        if (isinstance(node, dict) and slot not in node) or node[slot] is None:
+            node[slot] = [] if nxt.isdigit() else {}
+        node = node[slot]
+    node[_slot(node, parts[-1], key)] = value
 
 
-def _descend(node: Any, part: str, key: str) -> Any:
-    if isinstance(node, list):
-        if not part.isdigit() or int(part) >= len(node):
-            raise ScenarioError(f"override {key}: bad list index {part!r}")
-        return node[int(part)]
+def _slot(node: Any, part: str, key: str) -> str | int:
+    """The dict key or list index that segment ``part`` of the override path
+    ``key`` names in ``node``."""
     if isinstance(node, dict):
-        return node.get(part)
-    raise ScenarioError(f"override {key}: {part!r} is not a container")
-
-
-def _assign(node: Any, part: str, value: Any, key: str) -> None:
-    if isinstance(node, list):
-        if not part.isdigit() or int(part) >= len(node):
-            raise ScenarioError(f"override {key}: bad list index {part!r}")
-        node[int(part)] = value
-    elif isinstance(node, dict):
-        node[part] = value
-    else:
-        raise ScenarioError(f"override {key}: cannot assign into {type(node)}")
+        return part
+    if not isinstance(node, list):
+        raise ScenarioError(f"override {key}: no {part!r} in a {type(node).__name__}")
+    if not part.isdigit() or int(part) >= len(node):
+        raise ScenarioError(f"override {key}: bad list index {part!r}")
+    return int(part)
 
 
 SWEEP_PARAMS = ("m", "p", "k", "flow_count", "K", "initial_rate")
@@ -139,9 +156,9 @@ def apply_sweep_value(raw: dict, param: str, value: Any) -> None:
             raise ScenarioError("sweep flow_count: scenario has no flow_groups")
         groups[0]["count"] = value
     elif param == "initial_rate":
-        for f in raw.get("flows", []):
+        for f in raw.get("flows") or []:
             f["initial_rate"] = value
-        for g in raw.get("flow_groups", []):
+        for g in raw.get("flow_groups") or []:
             g["initial_rate"] = value
             g.pop("initial_rate_total", None)
     else:
@@ -150,31 +167,45 @@ def apply_sweep_value(raw: dict, param: str, value: Any) -> None:
         )
 
 
-def _need(raw: Mapping, key: str, path: str) -> Any:
-    if key not in raw:
-        raise ScenarioError(f"{path}.{key}: missing")
-    return raw[key]
+def _name(path: str, key: str | int) -> str:
+    """The name of field ``key`` inside ``path`` ("" at the top level); a
+    list position reads as ``path[key]``."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
 
 
 def _section(raw: Mapping, key: str, path: str, kind: type = dict) -> Any:
     """``raw[key]`` checked to be a ``kind`` (``dict`` or ``list``); unset or
-    null reads as an empty one.  ``path`` is the enclosing field, "" at the
-    top level."""
+    null reads as an empty one."""
     value = raw.get(key)
     if value is None:
         return kind()
     if not isinstance(value, kind):
-        name = f"{path}.{key}" if path else key
         what = "a mapping" if kind is dict else "a list"
-        raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+        raise ScenarioError(f"{_name(path, key)}: expected {what}, got {value!r}")
     return value
 
 
-def _real(value: Any) -> float:
-    """``float(value)``, refusing booleans, which float() reads as 0 and 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
+def _entries(raw: Mapping, key: str, path: str) -> Iterator[tuple[str, Mapping]]:
+    """``(name, entry)`` for each entry of the list ``raw[key]``, each
+    checked to be a mapping."""
+    for i, entry in enumerate(_section(raw, key, path, list)):
+        name = _name(_name(path, key), i)
+        if not isinstance(entry, Mapping):
+            raise ScenarioError(f"{name}: expected a mapping, got {entry!r}")
+        yield name, entry
+
+
+def _real(value: Any, name: str) -> float:
+    """``float(value)``; booleans, which float() reads as 0 and 1, and what
+    float() refuses raise a ScenarioError naming the field ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ScenarioError(f"{name}: expected a number, got {value!r}")
 
 
 def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
@@ -183,12 +214,9 @@ def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
     value = raw.get(key, default)
     if value is None and default is None:
         return None
-    try:
-        number = _real(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+    number = _real(value, _name(path, key))
     if not math.isfinite(number):
-        raise ScenarioError(f"{path}.{key}: must be finite, got {value!r}")
+        raise ScenarioError(f"{_name(path, key)}: must be finite, got {value!r}")
     return number
 
 
@@ -205,25 +233,36 @@ def _integer(raw: Mapping, key: str, path: str, default: int | None = None,
              minimum: int | None = None) -> int:
     """``raw[key]`` as an int no less than ``minimum``; unset reads as
     ``default``, and is missing when that is None."""
+    name = _name(path, key)
     if key not in raw and default is None:
-        raise ScenarioError(f"{path}.{key}: missing")
+        raise ScenarioError(f"{name}: missing")
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
+        raise ScenarioError(f"{name}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}, got {value!r}")
+        raise ScenarioError(f"{name}: must be >= {minimum}, got {value!r}")
     return value
 
 
-def _text(raw: Mapping, key: str, path: str, default: str) -> str:
+def _text(raw: Mapping, key: str | int, path: str, default: str | None) -> str:
     """``raw[key]`` as a non-empty string, ``default`` when unset; an integer
-    reads as its digits.  ``path`` is the enclosing field, "" at the top
-    level."""
+    reads as its digits."""
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (str, int)) or value == "":
-        name = f"{path}.{key}" if path else key
-        raise ScenarioError(f"{name}: expected a non-empty string, got {value!r}")
+        raise ScenarioError(
+            f"{_name(path, key)}: expected a non-empty string, got {value!r}"
+        )
     return str(value)
+
+
+def _flag(raw: Mapping, key: str, path: str, default: bool) -> bool:
+    """``raw[key]`` as a YAML boolean, ``default`` when unset."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(
+            f"{_name(path, key)}: expected true or false, got {value!r}"
+        )
+    return value
 
 
 def _choice(raw: Mapping, key: str, path: str, choices: Sequence[str],
@@ -231,9 +270,22 @@ def _choice(raw: Mapping, key: str, path: str, choices: Sequence[str],
     value = raw.get(key, default)
     if value not in choices:
         raise ScenarioError(
-            f"{path}.{key}: expected one of {list(choices)}, got {value!r}"
+            f"{_name(path, key)}: expected one of {list(choices)}, got {value!r}"
         )
     return value
+
+
+@contextmanager
+def _section_errors(path: str) -> Iterator[None]:
+    """Re-raise a ValueError or TypeError from building or validating the
+    section ``path`` as a ScenarioError naming it; a ScenarioError already
+    names its field and passes unchanged."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _convergence_section(raw: Mapping) -> tuple[float, int, str]:
@@ -247,33 +299,47 @@ def _convergence_section(raw: Mapping) -> tuple[float, int, str]:
     return eps, window, judge
 
 
-def _build_topology_section(raw: Mapping) -> Topology:
-    kind = raw.get("kind", "inline")
-    if kind == "star":
-        return star(_integer(raw, "n", "topology"),
-                    _number(raw, "bandwidth", "topology", 100e9),
-                    _number(raw, "prop_delay", "topology", 1e-6))
-    if kind == "fat_tree":
-        return fat_tree(_integer(raw, "K", "topology"),
-                        _number(raw, "bandwidth", "topology", 100e9),
-                        _number(raw, "prop_delay", "topology", 1e-6))
+def build_topology(raw: Mapping) -> Topology:
+    """The inline topology ``raw`` (schema in the module docstring), read and
+    validated.  A malformed field raises ScenarioError; a value out of range
+    or two links with one id raise TopologyError."""
+    if "nodes" not in raw:
+        raise ScenarioError("topology.nodes: missing")
+    listed = dict(enumerate(_section(raw, "nodes", "topology", list)))
+    nodes = tuple(_text(listed, i, "topology.nodes", None) for i in listed)
+    links: list[Link] = []
+    for path, entry in _entries(raw, "links", "topology"):
+        src = _text(entry, "src", path, None)
+        dst = _text(entry, "dst", path, None)
+        bw = _real(entry.get("bandwidth"), f"{path}.bandwidth")
+        delay = _real(entry.get("prop_delay", 0.0), f"{path}.prop_delay")
+        links.append(Link(_text(entry, "id", path, f"{src}->{dst}"),
+                          src, dst, bw, delay))
+        if _flag(entry, "bidirectional", path, True):
+            links.append(Link(f"{dst}->{src}", dst, src, bw, delay))
+    topo = Topology(nodes=nodes, links=tuple(links))
+    topo.validate()
+    return topo
+
+
+def _topology_section(raw: Mapping) -> Topology:
+    kind = _choice(raw, "kind", "topology", TOPOLOGY_KINDS, "inline")
     if kind == "inline":
-        _need(raw, "nodes", "topology")
-        return build_topology({
-            **raw,
-            "nodes": _section(raw, "nodes", "topology", list),
-            "links": _section(raw, "links", "topology", list),
-        })
-    raise ScenarioError(f"topology.kind: unknown kind {kind!r}")
+        return build_topology(raw)
+    build, size = (star, "n") if kind == "star" else (fat_tree, "K")
+    return build(_integer(raw, size, "topology"),
+                 _number(raw, "bandwidth", "topology", 100e9),
+                 _number(raw, "prop_delay", "topology", 1e-6))
 
 
 def _weight_schedule(entry: Mapping, start: float, path: str):
     if "weight_schedule" in entry:
         sched = entry["weight_schedule"]
+        where = f"{path}.weight_schedule"
         try:
-            return tuple((_real(t), _real(w)) for t, w in sched)
-        except (TypeError, ValueError, OverflowError):
-            raise ScenarioError(f"{path}.weight_schedule: expected [time, weight] pairs")
+            return tuple((_real(t, where), _real(w, where)) for t, w in sched)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{where}: expected [time, weight] pairs")
     w = _number(entry, "weight", path, 1.0)
     return ((min(0.0, start), w),)
 
@@ -314,6 +380,10 @@ def _expand_group(
         interval = _number(stagger, "interval", where, 0.0)
     init = _number(group, "initial_rate", path, None)
     init_total = _number(group, "initial_rate_total", path, None)
+    rate = init if init is not None else (
+        init_total / count if init_total is not None else None
+    )
+    stop = _number(group, "stop", path, None)
     uniform = None
     wspec = group.get("weight")
     if isinstance(wspec, Mapping) and "uniform" in wspec:
@@ -345,16 +415,13 @@ def _expand_group(
             start = start0 + (i * batches // count) * interval
         entry = {"src": src, "dst": dst}
         route = _resolve_route(topology, entry, fid, seed, f"{path}[{i}]")
-        rate = init if init is not None else (
-            init_total / count if init_total is not None else None
-        )
         flows.append(
             FlowSpec(
                 id=fid,
                 route=route,
                 weight_schedule=((min(0.0, start), weight),),
                 start_time=start,
-                stop_time=_number(group, "stop", path, None),
+                stop_time=stop,
                 controller=controller,
                 initial_rate=rate,
             )
@@ -388,9 +455,8 @@ def _check_size(raw: Mapping) -> None:
         links = len(_section(topo, "links", "topology", list))
         hops = max(nodes - 1, 1)
     counts = [
-        _integer(group, "count", f"flow_groups[{i}]", minimum=1)
-        if isinstance(group, Mapping) else 0
-        for i, group in enumerate(_section(raw, "flow_groups", "", list))
+        _integer(group, "count", path, minimum=1)
+        for path, group in _entries(raw, "flow_groups", "")
     ]
     flows = len(_section(raw, "flows", "", list)) + sum(counts)
     phys = physical_memory()
@@ -408,6 +474,10 @@ def _check_size(raw: Mapping) -> None:
 
 
 def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
+    if not isinstance(raw, dict):
+        raise ScenarioError(
+            f"top level: expected a mapping, got {type(raw).__name__}"
+        )
     raw = copy.deepcopy(raw)
     for spec in overrides:
         apply_override(raw, spec)
@@ -418,20 +488,12 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         raise ScenarioError(
             f"name: expected a name without a path separator, got {name!r}"
         )
-    require_converged = raw.get("require_converged", False)
-    if not isinstance(require_converged, bool):
-        raise ScenarioError(
-            f"require_converged: expected true or false, got {require_converged!r}"
-        )
+    require_converged = _flag(raw, "require_converged", "", False)
     if "topology" not in raw:
         raise ScenarioError("topology: missing")
     _check_size(raw)
-    try:
-        topology = _build_topology_section(_section(raw, "topology", ""))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"topology: {exc}") from exc
+    with _section_errors("topology"):
+        topology = _topology_section(_section(raw, "topology", ""))
 
     sim_raw = _section(raw, "sim", "")
     ctrl_raw = _section(raw, "control", "")
@@ -441,10 +503,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     rng = np.random.default_rng(seed)
 
     flows: list[FlowSpec] = []
-    for i, entry in enumerate(_section(raw, "flows", "", list)):
-        path = f"flows[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioError(f"{path}: expected a mapping, got {entry!r}")
+    for i, (path, entry) in enumerate(_entries(raw, "flows", "")):
         fid = _text(entry, "id", path, f"f{i}")
         start = _number(entry, "start", path, 0.0)
         flows.append(
@@ -458,9 +517,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
                 initial_rate=_number(entry, "initial_rate", path, None),
             )
         )
-    for gi, group in enumerate(_section(raw, "flow_groups", "", list)):
-        if not isinstance(group, Mapping):
-            raise ScenarioError(f"flow_groups[{gi}]: expected a mapping, got {group!r}")
+    for gi, (_, group) in enumerate(_entries(raw, "flow_groups", "")):
         flows.extend(
             _expand_group(topology, group, gi, seed, rng, default_controller)
         )
@@ -469,39 +526,29 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     if len(set(ids)) != len(ids):
         dup = sorted({x for x in ids if ids.count(x) > 1})
         raise ScenarioError(f"flows: duplicate ids {dup}")
-    for f in flows:
-        try:
+    with _section_errors("flows"):
+        for f in flows:
             validate_flow(topology, f)
-        except ValueError as exc:
-            raise ScenarioError(f"flows[{f.id}]: {exc}") from exc
 
-    try:
+    with _section_errors("control"):
         control = _numbers(ControlParams, ctrl_raw, "control")
         control.validate()
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"control: {exc}") from exc
-
-    try:
+    with _section_errors("aimd"):
         aimd = _numbers(AimdConfig, aimd_raw, "aimd")
         aimd.validate()
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"aimd: {exc}") from exc
 
     if sim_raw.get("dt") is None or sim_raw.get("end_time") is None:
         raise ScenarioError("sim: need both 'dt' and 'end_time'")
-    try:
+    with _section_errors("sim"):
         sim = SimConfig(
             dt=_number(sim_raw, "dt", "sim"),
             end_time=_number(sim_raw, "end_time", "sim"),
             control=control,
-            signal_delay_mode=str(
-                sim_raw.get("signal_delay_mode", SimConfig.signal_delay_mode)
-            ),
-            update_mode=str(sim_raw.get("update_mode", SimConfig.update_mode)),
+            signal_delay_mode=_choice(sim_raw, "signal_delay_mode", "sim",
+                                      SIGNAL_DELAY_MODES,
+                                      SimConfig.signal_delay_mode),
+            update_mode=_choice(sim_raw, "update_mode", "sim", UPDATE_MODES,
+                                SimConfig.update_mode),
             packet_size=_number(sim_raw, "packet_size", "sim",
                                 SimConfig.packet_size),
             seed=seed,
@@ -509,10 +556,6 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
             aimd=aimd,
         )
         sim.validate()
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"sim: {exc}") from exc
 
     eps, window, judge = _convergence_section(_section(raw, "convergence", ""))
     outputs = _section(raw, "outputs", "")

@@ -279,6 +279,18 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
      "flow_groups[0].id_prefix"),
     ("fat_tree_random", "flow_groups.0.controller=false",
      "flow_groups[0].controller"),
+    ("weighted_split", "topology.links.0.bandwidth=true",
+     "topology.links[0].bandwidth"),
+    ("weighted_split", "topology.links.0.prop_delay=true",
+     "topology.links[0].prop_delay"),
+    ("weighted_split", "topology.links.0.bidirectional=maybe",
+     "topology.links[0].bidirectional"),
+    ("weighted_split", "topology.links.0.id=[1]", "topology.links[0].id"),
+    ("fig_maxmin", "topology.nodes.2=[c]", "topology.nodes[2]"),
+    ("weighted_split", "topology.links.0=5", "topology.links[0]"),
+    ("weighted_split", "sim.signal_delay_mode=[1]", "sim.signal_delay_mode"),
+    ("weighted_split", "sim.update_mode=x", "sim.update_mode"),
+    ("weighted_split", "flows.0.weight=[1", "override flows.0.weight"),
 ])
 def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
                                                  field):
@@ -286,6 +298,42 @@ def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
     err = capsys.readouterr().err
     assert f"error: {field}: expected" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
+def test_malformed_yaml_file_exits_2_and_names_file(tmp_out, capsys, command):
+    path = os.path.join(tmp_out, "broken.yaml")
+    with open(path, "w") as fh:
+        fh.write("name: broken\ntopology: {kind: star\nflows: [\n")
+    argv = [command, path]
+    if command == "sweep":
+        argv += ["--param", "m", "--values", "0.25"]
+    if command != "oracle":
+        argv += ["--out", tmp_out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: expected valid YAML" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_on_a_top_level_list_exits_2(tmp_out, capsys):
+    path = write_scenario(tmp_out, [SMALL])
+    assert main(["sweep", path, "--param", "m", "--values", "0.25",
+                 "--out", tmp_out]) == 2
+    err = capsys.readouterr().err
+    assert "error: top level: expected a mapping" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("values", ["[", "", ","])
+def test_bad_sweep_values_exit_2_and_name_the_flag(tmp_out, capsys, values):
+    path = write_scenario(tmp_out, SMALL)
+    assert main(["sweep", path, "--param", "m", "--values", values,
+                 "--out", tmp_out]) == 2
+    err = capsys.readouterr().err
+    assert "error: --values: expected" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_out) == ["scenario.yaml"]
 
 
 def test_route_crossing_a_link_twice_exits_2(capsys):
@@ -341,13 +389,18 @@ def test_sweep_parses_each_instance_once(tmp_out, monkeypatch):
     import soze_sim.cli as cli
 
     calls = []
-    parse = cli.scenario_from_dict
+    parse, load = cli.scenario_from_dict, cli.load_scenario
 
     def counting(raw, overrides=()):
         calls.append(overrides)
         return parse(raw, overrides)
 
+    def counting_load(path, overrides=()):
+        calls.append(overrides)
+        return load(path, overrides)
+
     monkeypatch.setattr(cli, "scenario_from_dict", counting)
+    monkeypatch.setattr(cli, "load_scenario", counting_load)
     monkeypatch.setenv("SOZE_SIM_THREADS", "1")
     path = write_scenario(tmp_out, SMALL)
     assert main([

@@ -133,6 +133,15 @@ def test_utilization_saturating_flow():
         utilization(tr, "nope", (0.0, 1e-3))
 
 
+def test_utilization_matches_the_convergence_report():
+    rng = np.random.default_rng(3)
+    tr = synthetic_trace({f"f{i}": rng.uniform(1e9, 9e9, 200) for i in range(12)})
+    rates = {f: float(tr.rates[-1, i]) for i, f in enumerate(tr.flow_ids)}
+    rep = convergence_time(tr, allocation(rates))
+    steady = (tr.times[-1] - 20 * 1e-6, tr.times[-1])
+    assert rep.utilization["l"] == utilization(tr, "l", steady)
+
+
 def test_four_flow_utilization_at_least_99_percent():
     topo = single_link(prop_delay=0.25e-6)
     flows = [flow_on_link(f"f{i}") for i in range(4)]

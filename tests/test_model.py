@@ -2,6 +2,7 @@ import pytest
 
 from soze_sim import (
     FlowSpec,
+    ScenarioError,
     base_rtt,
     build_topology,
     fat_tree,
@@ -71,6 +72,21 @@ def test_nonfinite_link_values_rejected(key, value, field):
     link = {"src": "a", "dst": "b", "bandwidth": 1e9, "prop_delay": 1e-6}
     link[key] = value
     with pytest.raises(TopologyError, match=field):
+        build_topology({"nodes": ["a", "b"], "links": [link]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bandwidth", True),
+    ("prop_delay", False),
+    ("bandwidth", "fast"),
+    ("bidirectional", "yes"),
+    ("src", ["a"]),
+    ("id", 1.5),
+])
+def test_malformed_link_field_is_a_scenario_error(key, value):
+    link = {"src": "a", "dst": "b", "bandwidth": 1e9, "prop_delay": 1e-6}
+    link[key] = value
+    with pytest.raises(ScenarioError, match=rf"topology\.links\[0\]\.{key}: "):
         build_topology({"nodes": ["a", "b"], "links": [link]})
 
 

@@ -314,6 +314,12 @@ def test_empty_route_rejected():
         water_fill(single_link(), [FlowSpec("f", (), ((0.0, 1.0),))])
 
 
+def test_duplicate_flow_ids_rejected():
+    flows = [flow_on_link("x", 1.0), flow_on_link("x", 3.0)]
+    with pytest.raises(ValueError, match="'x': duplicate id"):
+        water_fill(single_link(), flows)
+
+
 def test_goal_equivalence_accepts_goal_rates():
     rng = random.Random(11)
     for _ in range(50):

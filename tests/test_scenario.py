@@ -111,6 +111,13 @@ def test_sweep_param_mapping():
     assert set(SWEEP_PARAMS) == {"m", "p", "k", "flow_count", "K", "initial_rate"}
 
 
+def test_sweep_initial_rate_skips_null_lists():
+    raw = {"flows": None, "flow_groups": [{"count": 2}]}
+    apply_sweep_value(raw, "initial_rate", 5e9)
+    assert raw == {"flows": None,
+                   "flow_groups": [{"count": 2, "initial_rate": 5e9}]}
+
+
 def test_flow_groups_expand_deterministically():
     raw = {
         "name": "g",
@@ -223,6 +230,12 @@ def test_bad_convergence_value_named(key, value):
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("raw", [[BASE], "t", None])
+def test_top_level_must_be_a_mapping(raw):
+    with pytest.raises(ScenarioError, match="top level: expected a mapping"):
+        scenario_from_dict(raw)
+
+
 def test_convergence_section_must_be_a_mapping():
     with pytest.raises(ScenarioError, match="convergence"):
         scenario_from_dict({**BASE, "convergence": 0.05})
@@ -291,6 +304,13 @@ def _paths(node, prefix=()):
 
 FUZZ_SITES = [(b, path) for b, base in enumerate(FUZZ_BASES)
               for path in _paths(base)]
+
+
+def _leaf(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
 # integers are small, or large enough that the size pre-flight refuses them
 # as topology sizes or flow counts; sizes in between would take long to build
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
@@ -320,3 +340,25 @@ def test_one_bad_value_is_a_scenario_error(site, value):
     except ScenarioError:
         return
     assert isinstance(result, Scenario)
+
+
+NUMERIC_SITES = [
+    (b, path) for b, path in FUZZ_SITES
+    if isinstance(_leaf(FUZZ_BASES[b], path), (int, float))
+    and not isinstance(_leaf(FUZZ_BASES[b], path), bool)
+]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("site", NUMERIC_SITES)
+def test_boolean_in_a_numeric_leaf_is_a_scenario_error(site, flag):
+    """YAML's true and false are never numbers: float() would read them as
+    1 and 0."""
+    b, path = site
+    raw = copy.deepcopy(FUZZ_BASES[b])
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = flag
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(raw)
