@@ -90,10 +90,11 @@ class Scenario:
 
 def parse_yaml(text: str | IO[str], source: str) -> Any:
     """``text`` (a string or an open file) read as YAML; text that is not
-    YAML raises a ScenarioError naming ``source``."""
+    YAML, or a file that is not UTF-8, raises a ScenarioError naming
+    ``source``."""
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         mark = getattr(exc, "problem_mark", None)
         detail = (f"{exc.problem}, line {mark.line + 1}, column {mark.column + 1}"
                   if mark else str(exc))

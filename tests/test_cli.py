@@ -300,11 +300,16 @@ def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    b"name: broken\ntopology: {kind: star\nflows: [\n",
+    b"name: \xff\xfe\n",
+])
 @pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
-def test_malformed_yaml_file_exits_2_and_names_file(tmp_out, capsys, command):
+def test_malformed_yaml_file_exits_2_and_names_file(tmp_out, capsys, command,
+                                                    text):
     path = os.path.join(tmp_out, "broken.yaml")
-    with open(path, "w") as fh:
-        fh.write("name: broken\ntopology: {kind: star\nflows: [\n")
+    with open(path, "wb") as fh:
+        fh.write(text)
     argv = [command, path]
     if command == "sweep":
         argv += ["--param", "m", "--values", "0.25"]
