@@ -190,14 +190,11 @@ def execute_scenario(scenario: Scenario, out_dir: str,
     trace = engine.run()
     wall = time.perf_counter() - t0
     summary = summarize_run(scenario, engine, trace, wall)
-    stem = tag if tag is not None else scenario.name
-    trace_path = os.path.join(out_dir, scenario.trace_name or f"{stem}.trace.csv")
+    # a sweep instance's tag replaces the scenario's own file names
+    trace_path = os.path.join(
+        out_dir, scenario.trace_name if tag is None else f"{tag}.trace.csv")
     summary_path = os.path.join(
-        out_dir, scenario.summary_name or f"{stem}.summary.json"
-    )
-    if tag is not None:
-        trace_path = os.path.join(out_dir, f"{stem}.trace.csv")
-        summary_path = os.path.join(out_dir, f"{stem}.summary.json")
+        out_dir, scenario.summary_name if tag is None else f"{tag}.summary.json")
     trace.to_csv(trace_path)
     _atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return RunOutput(scenario, trace, summary, trace_path, summary_path)

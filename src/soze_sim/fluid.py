@@ -14,27 +14,32 @@ Per integration step of length ``dt`` the engine:
    so the other steps skip delivery),
 5. records a trace sample when due.
 
-The queue history that step 4 reads is a ring of rows, one per step.  With
-``fixed_rtt`` every flow's lag is its constant base RTT, so a ring of
-``ceil(max base RTT / dt) + 3`` rows (at most ``n_steps + 1``) suffices and
-memory does not grow with ``end_time``.  A read interpolates each distinct
-(base RTT, link) pair that some route uses once -- at most
-min(distinct base RTTs x links, route hops) pairs -- and takes each flow's
-max over its hops, so it costs O(route hops + links) on any mix of base
-RTTs.
+The queue history that step 4 reads is a ring of rows, one per step.  A
+read is a mode-specific *row step*, which finds per *read key* the two
+history rows around the emission time and the weight between them, then
+one *gather*, shared by both modes and ``deliver_signal``: it interpolates
+each distinct (read key, link) pair that some route uses once and takes
+each flow's max over its hops.
 
-With ``propagation_plus_queue`` a signal read at ``t`` was emitted at the
-latest time ``e`` with ``g(e) = e + base RTT + route queue sum(e) <= t``.
-The history is linear between rows, so ``g`` is piecewise linear; each
-link's ``dD/dt >= -1``, but a route's queue sum can fall by up to one
-second per second per hop, so on a multi-hop route ``g`` can decrease and
-``g(e) = t`` can have several roots.  The latest one never moves back as
-``t`` grows.  The engine caches ``G[row, flow] = g(row * dt)`` for each
-row the first time a read reaches it, finds each flow's last row with
-``G <= t`` and solves the crossing segment linearly.  Each flow's last
-row only moves forward, and rows older than the smallest of them are
-dropped, so the ring starts at the fixed-lag size and doubles only when
-the lags it must span outgrow it.
+With ``fixed_rtt`` a flow's key is its distinct base RTT, its constant lag.
+A read has at most min(distinct base RTTs x links, route hops) pairs, so it
+costs O(route hops + links) on any mix of base RTTs, and a ring of
+``ceil(max base RTT / dt) + 3`` rows (at most ``n_steps + 1``) suffices:
+memory does not grow with ``end_time``.
+
+With ``propagation_plus_queue`` a flow's key is the flow, so its pairs are
+its route hops.  A signal read at ``t`` was emitted at the latest time
+``e`` with ``g(e) = e + base RTT + route queue sum(e) <= t``.  The history
+is linear between rows, so ``g`` is piecewise linear; each link's
+``dD/dt >= -1``, but a route's queue sum can fall by up to one second per
+second per hop, so on a multi-hop route ``g`` can decrease and ``g(e) = t``
+can have several roots.  The latest one never moves back as ``t`` grows.
+The engine caches ``G[row, flow] = g(row * dt)`` for each row the first
+time a read reaches it (O(route hops) per row), finds each flow's last row
+with ``G <= t`` (O(kept rows x flows) per read) and solves the crossing
+segment linearly.  Each flow's last row only moves forward, and rows older
+than the smallest of them are dropped, so the ring starts at the fixed-lag
+size and doubles only when the lags it must span outgrow it.
 
 Identical inputs produce bit-identical traces: there is no hidden state and
 no wall-clock or hash-order dependence.
@@ -288,15 +293,18 @@ class FluidSimulation:
         self._hop_first = first
 
         self.base_rtt = np.array([base_rtt(topology, f.route) for f in flows])
-        # the fixed-lag signal interpolates each distinct (base RTT, link)
-        # pair a route uses once per step: pair p lags by
-        # _lags[_pair_lag[p]] on link _pair_link[p], and hop h of flow j
-        # reads pair _hop_pair[h, j]
+        # a read finds history rows once per read key -- a flow's distinct
+        # base RTT under fixed_rtt, the flow itself under queue lag -- and
+        # interpolates each distinct (key, link) pair a route uses once:
+        # pair p reads key _pair_key[p] on link _pair_link[p], and hop h of
+        # flow j reads pair _hop_pair[h, j]
+        self._queue_lag = config.signal_delay_mode == "propagation_plus_queue"
         self._lags, lag_of = np.unique(self.base_rtt, return_inverse=True)
-        key = lag_of * nl + self.route_idx.T
+        self._key_of = np.arange(nf) if self._queue_lag else lag_of
+        key = self._key_of * nl + self.route_idx.T
         pairs, hop_pair = np.unique(key, return_inverse=True)
         self._hop_pair = hop_pair.reshape(key.shape)
-        self._pair_lag, self._pair_link = np.divmod(pairs, nl)
+        self._pair_key, self._pair_link = np.divmod(pairs, nl)
 
         self.caps = np.array([resolve_cap(f, self.params, topology) for f in flows])
         self.init_rates = np.array(
@@ -367,20 +375,21 @@ class FluidSimulation:
 
     # -- signal delivery ---------------------------------------------------
 
-    def _lag_index(self, pos: np.ndarray, filled: int):
-        """History rows around fractional positions ``pos``, clipped to the
-        filled history: rows ``(i0, i1)`` stacked as a ``(2, n)`` array, and
-        the interpolation weight of ``i1``."""
-        pos = pos.clip(0.0, float(filled))
+    def _read_rows(self, t: float, filled: int):
+        """The row step of a read at ``t`` over the history up to row
+        ``filled``: per read key, its history rows ``(i0, i1)`` stacked as a
+        ``(2, keys)`` array, and the interpolation weight of ``i1``."""
+        if self._queue_lag:
+            return self._emission_rows(t, filled)
+        pos = ((t - self._lags) / self.config.dt).clip(0.0, float(filled))
         i0 = np.floor(pos).astype(np.intp)
         return np.minimum(i0 + _NEXT_ROW, filled), pos - i0
 
     def _emission_rows(self, t: float, filled: int):
         """Each flow's queue-lag emission point for a read at ``t``, searched
-        over the kept rows ``_oldest .. filled``: its history rows stacked
-        as a ``(2, nf)`` array, the interpolation weight of the second, and
-        whether a kept row has ``G <= t`` (a flow without one reads row
-        ``_oldest``)."""
+        over the kept rows ``_oldest .. filled``.  A flow with no kept row
+        with ``G <= t`` reads the row before them, which is no longer kept,
+        or row 0 when no row has been dropped yet."""
         dt, ring = self.config.dt, self._hist_rows
         new = np.arange(self._g_next, filled + 1)
         if new.size:
@@ -399,25 +408,29 @@ class FluidSimulation:
         cross = found & (g[1] > t)
         frac = np.divide(t - g[0], g[1] - g[0], out=np.zeros_like(g[0]),
                          where=cross)
-        last[~found] = 0
-        return self._oldest + np.minimum(last + _NEXT_ROW, kept - 1), frac, found
+        last[~found] = -1
+        rows = self._oldest + np.minimum(last + _NEXT_ROW, kept - 1)
+        return np.maximum(rows, 0), frac
 
     def _route_max(self, rows: np.ndarray, frac: np.ndarray) -> np.ndarray:
-        """Per flow, the largest queue on its route, interpolated between
-        its history rows ``rows`` with weight ``frac``."""
-        lohi = self._hist[(rows % self._hist_rows)[:, :, None], self.route_idx]
-        frac = frac[:, None]
+        """Per flow, the largest queue on its route: each (key, link) pair is
+        interpolated once between its key's history rows ``rows`` with
+        weight ``frac``, then each flow takes the max over its hops."""
+        flat = rows % self._hist_rows * self._hist.shape[1]
+        lohi = self._hist.take(flat.take(self._pair_key, axis=1) + self._pair_link)
+        frac = frac.take(self._pair_key)
+        pairs = lohi[0] * (1.0 - frac) + lohi[1] * frac
         # padding repeats each route's last hop, so it cannot raise the max
-        return (lohi[0] * (1.0 - frac) + lohi[1] * frac).max(axis=1)
+        return pairs.take(self._hop_pair).max(axis=0)
 
-    def _grow_history(self) -> None:
+    def _grow_history(self, filled: int) -> None:
         """Double the queue-lag ring (to at most one row per step), keeping
-        rows ``_oldest .. _filled`` and their cached ``G``."""
+        rows ``_oldest .. filled`` and their cached ``G``; new rows read 0."""
         ring = min(2 * self._hist_rows, self.n_steps + 1)
-        kept = np.arange(self._oldest, self._filled + 1)
+        kept = np.arange(self._oldest, filled + 1)
         for name in ("_hist", "_lag_g"):
             buf = getattr(self, name)
-            grown = np.empty((ring, buf.shape[1]))
+            grown = np.zeros((ring, buf.shape[1]))
             grown[kept % ring] = buf[kept % self._hist_rows]
             setattr(self, name, grown)
         self._hist_rows = ring
@@ -425,28 +438,24 @@ class FluidSimulation:
     def _signals(self, t: float, filled: int) -> np.ndarray:
         """Every flow's signal at ``t``; a queue-lag read also drops the
         rows that no later read can need."""
-        if self.config.signal_delay_mode == "fixed_rtt":
-            rows, frac = self._lag_index((t - self._lags) / self.config.dt, filled)
-            flat = rows % self._hist_rows * self._hist.shape[1]
-            lohi = self._hist.take(flat.take(self._pair_lag, axis=1) + self._pair_link)
-            frac = frac.take(self._pair_lag)
-            pairs = lohi[0] * (1.0 - frac) + lohi[1] * frac
-            sig = pairs.take(self._hop_pair).max(axis=0)
-        else:
-            rows, frac, _ = self._emission_rows(t, filled)
+        rows, frac = self._read_rows(t, filled)
+        if self._queue_lag:
             self._oldest = int(rows[0].min())
-            sig = self._route_max(rows, frac)
+        sig = self._route_max(rows, frac)
         # no feedback before the first ACK returns
         sig[t < self._eligible_from] = 0.0
         return sig
 
     def deliver_signal(self, flow_id: str, t: float) -> float:
-        """The maxQD signal the sender of ``flow_id`` holds at time ``t``.
+        """The maxQD signal the sender of ``flow_id`` holds at time ``t``,
+        from a finished run's own row step and route max.
 
         Both modes answer 0 for any ``t`` before the flow's first ACK and
         read the queues past the run's end as they stood after its last
-        step.  A ``t`` before the windows below raises ValueError, because
-        the rows it needs were overwritten.
+        step.  After ``n`` steps on a ring of ``R`` rows the history keeps
+        rows ``max(o, n - R + 1) .. n``, with ``o`` as below and 0 under
+        ``fixed_rtt``; a ``t`` that reads an older row raises ValueError,
+        because that row was overwritten.  So:
 
         ``fixed_rtt`` keeps only the last
         ``R = min(ceil(max base RTT / dt) + 3, n_steps + 1)`` queue rows
@@ -460,41 +469,29 @@ class FluidSimulation:
         time at which row ``o`` reaches the sender.  The answer is solved
         from row ``o`` afresh, so asking never changes the run.
         """
-        if not hasattr(self, "_hist"):
+        if not self._ran:
             raise RuntimeError("simulation has not started")
         j = self.flow_ids.index(flow_id)
         t = float(t)
         if t < self._eligible_from[j]:
             return 0.0
-        if self.config.signal_delay_mode == "fixed_rtt":
-            lag = float(self.base_rtt[j])
-            rows, _ = self._lag_index(
-                np.array([(t - lag) / self.config.dt]), self._filled
-            )
-            oldest = self._filled - self._hist_rows + 1
-            if rows[0, 0] < oldest:
-                raise ValueError(
-                    f"flow {flow_id!r} at t={t!r}: its lagged queue rows were "
-                    f"overwritten; the history answers from "
-                    f"t={oldest * self.config.dt + lag!r} on"
-                )
-            return float(self._signals(t, self._filled)[j])
-        rows, frac, found = self._emission_rows(t, self._filled)
-        if not found[j] and self._oldest > 0:
-            first = self._lag_g[self._oldest % self._hist_rows, j]
+        n, ring = self.n_steps, self._hist_rows
+        rows, frac = self._read_rows(t, n)
+        oldest = max(self._oldest, n - ring + 1)
+        if rows[0, self._key_of[j]] < oldest:
+            first = (self._lag_g[oldest % ring, j] if self._queue_lag
+                     else oldest * self.config.dt + self.base_rtt[j])
             raise ValueError(
-                f"flow {flow_id!r} at t={t!r}: the queue rows around its "
-                f"emission time were overwritten; the history answers from "
-                f"t={float(first)!r} on"
+                f"flow {flow_id!r} at t={t!r}: the queue rows it reads were "
+                f"overwritten; the history answers from t={float(first)!r} on"
             )
         return float(self._route_max(rows, frac)[j])
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> Trace:
-        if self._ran:
+        if hasattr(self, "_hist"):
             raise RuntimeError("simulation already ran; build a fresh instance")
-        self._ran = True
         cfg = self.config
         dt, n_steps = cfg.dt, self.n_steps
         nf, nl = len(self.flows), len(self.topology.links)
@@ -510,14 +507,13 @@ class FluidSimulation:
         qd = np.zeros(nl)
 
         self._hist = np.zeros((self._hist_rows, nl))
-        self._filled = 0
-        queue_lag = cfg.signal_delay_mode == "propagation_plus_queue"
+        # rows before _oldest are dropped; under fixed_rtt it stays 0
+        self._oldest = 0
+        queue_lag = self._queue_lag
         if queue_lag:
-            # G per kept row and flow, cached up to row _g_next - 1; rows
-            # before _oldest are dropped
+            # G per kept row and flow, cached up to row _g_next - 1
             self._lag_g = np.empty((self._hist_rows, nf))
             self._g_next = 0
-            self._oldest = 0
         self._eligible_from = self.base_rtt + np.array(
             [f.start_time for f in self.flows]
         )
@@ -579,9 +575,8 @@ class FluidSimulation:
             qd += dt * (arrival - self.bw) / self.bw
             np.maximum(qd, 0.0, out=qd)
             if queue_lag and k + 1 - self._oldest >= self._hist_rows:
-                self._grow_history()
+                self._grow_history(k)
             self._hist[(k + 1) % self._hist_rows] = qd
-            self._filled = k + 1
 
             due = active & (t_next - last_update > gate_after)
             if per_rtt:
@@ -624,6 +619,7 @@ class FluidSimulation:
                 out_qd[row] = qd
                 row += 1
 
+        self._ran = True    # deliver_signal reads the finished history
         return Trace(
             times=out_t[:row],
             flow_ids=self.flow_ids,

@@ -110,22 +110,7 @@ def convergence_time(
     spacing = trace.sampling_interval
     need = max(1, int(math.ceil(win_dur / spacing - 1e-9)))
 
-    conv_time = None
-    run = 0
-    first_ok = None
-    for i in range(len(times)):
-        if times[i] < after - 1e-15:
-            continue
-        if errs[i] <= eps:
-            if first_ok is None:
-                first_ok = i
-            run += 1
-            if run >= need:
-                conv_time = float(times[first_ok]) - after
-                break
-        else:
-            run = 0
-            first_ok = None
+    conv_time = _settle_time(times, errs, after, eps, need)
 
     steady_lo = int(np.searchsorted(times, times[-1] - win_dur - 1e-15, "left"))
     steady = slice(lo + steady_lo, hi)
@@ -146,6 +131,19 @@ def convergence_time(
         utilization=util,
         rate_oscillation=osc,
     )
+
+
+def _settle_time(times: np.ndarray, errs: np.ndarray, after: float,
+                 eps: float, need: int) -> float | None:
+    """Time from ``after`` to the first sample from which ``need``
+    consecutive samples at or after ``after`` have ``errs <= eps``; None
+    when no such run exists."""
+    first = int(np.searchsorted(times, after - 1e-15, "left"))
+    # misses before each sample: a run of ``need`` starts where the count
+    # ``need`` samples later is the same
+    misses = np.concatenate(([0], np.cumsum(~(errs[first:] <= eps))))
+    hits = np.flatnonzero(misses[need:] == misses[:-need])
+    return float(times[first + hits[0]]) - after if hits.size else None
 
 
 def _link_utilization(trace: Trace, rows: slice, link: str,

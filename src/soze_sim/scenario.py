@@ -33,10 +33,14 @@ nodes and cables::
            id: a->b,              # default "src->dst"
            bidirectional: true}   # default true: also adds link "dst->src"
 
-Ids and names are non-empty strings; an integer reads as its digits.  A
-malformed field raises ``ScenarioError`` whose message starts with the
-field's name (``flows[0].weight``, ``topology.links[1].bandwidth``), or with
-the override or file it came from.
+Ids and names are non-empty strings; an integer reads as its digits.
+``name`` (the stem of the default output file names) and the optional
+``outputs.trace`` and ``outputs.summary`` name files inside the output
+directory, so they hold no ``/``, ``\\`` or ``..``.  A malformed field
+raises ``ScenarioError`` whose message starts with the field's name
+(``flows[0].weight``, ``topology.links[1].bandwidth``), or with the override
+or file it came from; a key that no reader reads is refused the same way
+(``control.pp: unknown key``).
 """
 
 from __future__ import annotations
@@ -72,6 +76,19 @@ class ScenarioError(ValueError):
 JUDGE_MODES = ("all", "final")
 TOPOLOGY_KINDS = ("inline", "star", "fat_tree")
 
+# the keys each section or entry reads; any other key is refused
+TOP_KEYS = ("name", "require_converged", "default_controller", "topology",
+            "flows", "flow_groups", "control", "aimd", "sim", "convergence",
+            "outputs")
+LINK_KEYS = ("src", "dst", "bandwidth", "prop_delay", "id", "bidirectional")
+FLOW_KEYS = ("id", "route", "src", "dst", "weight", "weight_schedule", "start",
+             "stop", "controller", "initial_rate")
+GROUP_KEYS = ("count", "id_prefix", "src", "dst", "weight", "start",
+              "start_stagger", "initial_rate", "initial_rate_total", "stop",
+              "controller")
+SIM_KEYS = tuple(f.name for f in fields(SimConfig)
+                 if f.name not in ("control", "aimd"))
+
 
 @dataclass
 class Scenario:
@@ -79,12 +96,12 @@ class Scenario:
     topology: Topology
     flows: list[FlowSpec]
     sim: SimConfig
+    trace_name: str           # file names inside the output directory
+    summary_name: str
     require_converged: bool = False
     convergence_eps: float = 0.05
     convergence_window: int = 20
     convergence_judge: str = "all"
-    trace_name: str | None = None
-    summary_name: str | None = None
     raw: dict = field(default_factory=dict)
 
 
@@ -224,6 +241,7 @@ def _number(raw: Mapping, key: str, path: str, default=None) -> Any:
 def _numbers(cls, raw: Mapping, path: str):
     """An instance of the all-number dataclass ``cls``; each field is read
     from ``raw`` and keeps the class default when unset."""
+    _only(raw, [f.name for f in fields(cls)], path)
     return cls(**{
         f.name: _number(raw, f.name, path, f.default)
         for f in fields(cls)
@@ -254,6 +272,25 @@ def _text(raw: Mapping, key: str | int, path: str, default: str | None) -> str:
             f"{_name(path, key)}: expected a non-empty string, got {value!r}"
         )
     return str(value)
+
+
+def _file_name(raw: Mapping, key: str, path: str, default: str) -> str:
+    """``raw[key]`` as the name of a file inside the output directory: a
+    non-empty string without ``/``, ``\\`` or ``..``; ``default`` when
+    unset."""
+    name = _text(raw, key, path, default)
+    if "/" in name or "\\" in name or ".." in name:
+        raise ScenarioError(f"{_name(path, key)}: expected a file name without "
+                            f"'/', '\\' or '..', got {name!r}")
+    return name
+
+
+def _only(raw: Mapping, keys: Sequence[str], path: str) -> None:
+    """Refuse a key of ``raw`` outside ``keys``, which would otherwise be
+    ignored and leave the field it was meant for at its default."""
+    for key in raw:
+        if key not in keys:
+            raise ScenarioError(f"{_name(path, str(key))}: unknown key")
 
 
 def _flag(raw: Mapping, key: str, path: str, default: bool) -> bool:
@@ -292,6 +329,7 @@ def _section_errors(path: str) -> Iterator[None]:
 def _convergence_section(raw: Mapping) -> tuple[float, int, str]:
     """``(eps, window, judge)`` from the scenario's ``convergence`` section."""
     path = "convergence"
+    _only(raw, ("eps", "window", "judge"), path)
     eps = _number(raw, "eps", path, Scenario.convergence_eps)
     if eps <= 0:
         raise ScenarioError(f"{path}.eps: must be a finite number > 0, got {eps!r}")
@@ -304,12 +342,14 @@ def build_topology(raw: Mapping) -> Topology:
     """The inline topology ``raw`` (schema in the module docstring), read and
     validated.  A malformed field raises ScenarioError; a value out of range
     or two links with one id raise TopologyError."""
+    _only(raw, ("kind", "nodes", "links"), "topology")
     if "nodes" not in raw:
         raise ScenarioError("topology.nodes: missing")
     listed = dict(enumerate(_section(raw, "nodes", "topology", list)))
     nodes = tuple(_text(listed, i, "topology.nodes", None) for i in listed)
     links: list[Link] = []
     for path, entry in _entries(raw, "links", "topology"):
+        _only(entry, LINK_KEYS, path)
         src = _text(entry, "src", path, None)
         dst = _text(entry, "dst", path, None)
         bw = _real(entry.get("bandwidth"), f"{path}.bandwidth")
@@ -328,6 +368,7 @@ def _topology_section(raw: Mapping) -> Topology:
     if kind == "inline":
         return build_topology(raw)
     build, size = (star, "n") if kind == "star" else (fat_tree, "K")
+    _only(raw, ("kind", size, "bandwidth", "prop_delay"), "topology")
     return build(_integer(raw, size, "topology"),
                  _number(raw, "bandwidth", "topology", 100e9),
                  _number(raw, "prop_delay", "topology", 1e-6))
@@ -348,14 +389,20 @@ def _weight_schedule(entry: Mapping, start: float, path: str):
 def _resolve_route(
     topology: Topology, entry: Mapping, fid: str, seed: int, path: str
 ):
+    """A flow's ``route`` of link ids, or its route from ``src`` to ``dst``."""
     if "route" in entry:
-        return tuple(str(x) for x in _section(entry, "route", path, list))
-    src = entry.get("src")
-    dst = entry.get("dst")
-    if src is None or dst is None:
+        hops = dict(enumerate(_section(entry, "route", path, list)))
+        return tuple(_text(hops, i, f"{path}.route", None) for i in hops)
+    if entry.get("src") is None or entry.get("dst") is None:
         raise ScenarioError(f"{path}: need either 'route' or 'src'+'dst'")
+    return _route(topology, _text(entry, "src", path, None),
+                  _text(entry, "dst", path, None), fid, seed, path)
+
+
+def _route(topology: Topology, src: str, dst: str, fid: str, seed: int,
+           path: str):
     try:
-        return route_flow(topology, str(src), str(dst), seed=seed, flow_id=fid)
+        return route_flow(topology, src, dst, seed=seed, flow_id=fid)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -369,14 +416,19 @@ def _expand_group(
     default_controller: str,
 ) -> list[FlowSpec]:
     path = f"flow_groups[{gi}]"
+    _only(group, GROUP_KEYS, path)
     count = _integer(group, "count", path, minimum=1)
     prefix = _text(group, "id_prefix", path, f"g{gi}")
     controller = _text(group, "controller", path, default_controller)
+    src0, dst0 = _text(group, "src", path, None), _text(group, "dst", path, None)
     hosts = hosts_of(topology)
+    if "random" in (src0, dst0) and len(hosts) < 2:
+        raise ScenarioError(f"{path}: random endpoints need >= 2 hosts")
     start0 = _number(group, "start", path, 0.0)
     stagger = _section(group, "start_stagger", path)
     if stagger:
         where = f"{path}.start_stagger"
+        _only(stagger, ("batches", "interval"), where)
         batches = _integer(stagger, "batches", where, minimum=1)
         interval = _number(stagger, "interval", where, 0.0)
     init = _number(group, "initial_rate", path, None)
@@ -389,6 +441,7 @@ def _expand_group(
     wspec = group.get("weight")
     if isinstance(wspec, Mapping) and "uniform" in wspec:
         where = f"{path}.weight.uniform"
+        _only(wspec, ("uniform",), f"{path}.weight")
         bounds = _section(wspec, "uniform", f"{path}.weight", list)
         if len(bounds) != 2 or None in bounds:
             raise ScenarioError(f"{where}: expected [low, high], got {bounds!r}")
@@ -400,10 +453,8 @@ def _expand_group(
     flows: list[FlowSpec] = []
     for i in range(count):
         fid = f"{prefix}_{i}"
-        src, dst = group.get("src"), group.get("dst")
+        src, dst = src0, dst0
         if src == "random" or dst == "random":
-            if len(hosts) < 2:
-                raise ScenarioError(f"{path}: random endpoints need >= 2 hosts")
             a, b = (int(x) for x in rng.choice(len(hosts), size=2, replace=False))
             if src == "random":
                 src = hosts[a] if hosts[a] != dst else hosts[b]
@@ -414,8 +465,7 @@ def _expand_group(
         start = start0
         if stagger:
             start = start0 + (i * batches // count) * interval
-        entry = {"src": src, "dst": dst}
-        route = _resolve_route(topology, entry, fid, seed, f"{path}[{i}]")
+        route = _route(topology, src, dst, fid, seed, f"{path}[{i}]")
         flows.append(
             FlowSpec(
                 id=fid,
@@ -483,12 +533,8 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     for spec in overrides:
         apply_override(raw, spec)
 
-    name = _text(raw, "name", "", "scenario")
-    if "/" in name or "\\" in name:
-        # the name is the stem of the output file names
-        raise ScenarioError(
-            f"name: expected a name without a path separator, got {name!r}"
-        )
+    _only(raw, TOP_KEYS, "")
+    name = _file_name(raw, "name", "", "scenario")
     require_converged = _flag(raw, "require_converged", "", False)
     if "topology" not in raw:
         raise ScenarioError("topology: missing")
@@ -497,6 +543,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         topology = _topology_section(_section(raw, "topology", ""))
 
     sim_raw = _section(raw, "sim", "")
+    _only(sim_raw, SIM_KEYS, "sim")
     ctrl_raw = _section(raw, "control", "")
     aimd_raw = _section(raw, "aimd", "")
     seed = _integer(sim_raw, "seed", "sim", 0, minimum=0)
@@ -505,6 +552,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
 
     flows: list[FlowSpec] = []
     for i, (path, entry) in enumerate(_entries(raw, "flows", "")):
+        _only(entry, FLOW_KEYS, path)
         fid = _text(entry, "id", path, f"f{i}")
         start = _number(entry, "start", path, 0.0)
         flows.append(
@@ -560,10 +608,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
 
     eps, window, judge = _convergence_section(_section(raw, "convergence", ""))
     outputs = _section(raw, "outputs", "")
-    for key in ("trace", "summary"):
-        value = outputs.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ScenarioError(f"outputs.{key}: expected a file name, got {value!r}")
+    _only(outputs, ("trace", "summary"), "outputs")
     return Scenario(
         name=name,
         topology=topology,
@@ -573,7 +618,8 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         convergence_eps=eps,
         convergence_window=window,
         convergence_judge=judge,
-        trace_name=outputs.get("trace"),
-        summary_name=outputs.get("summary"),
+        trace_name=_file_name(outputs, "trace", "outputs", f"{name}.trace.csv"),
+        summary_name=_file_name(outputs, "summary", "outputs",
+                                f"{name}.summary.json"),
         raw=raw,
     )

@@ -1,0 +1,55 @@
+"""The benchmark's traced pass (``perfbench/tracer.py``) times soze-sim by
+swapping module attributes for wrappers.  A refactor that stops calling
+through one of those attributes would silently zero that layer's figures;
+these tests fail instead."""
+
+import importlib.util
+import os
+import sys
+
+from soze_sim import cli
+
+from conftest import scenario_path
+
+TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+
+# counts that each traced layer must report above zero
+COUNTS = ("oracle.flows", "control.updated_flows", "model.route_hops",
+          "fluid.hop_steps")
+
+
+def load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_and_sweep_reach_every_wrapped_layer(tmp_path, monkeypatch):
+    tracing = load_tracer(monkeypatch)
+    monkeypatch.setenv("SOZE_SIM_THREADS", "1")   # sweep instances in-process
+    wrapped = []
+
+    class Recording(tracing.Tracer):
+        def wrap(self, owner, attr, name, count=None):
+            wrapped.append(name)
+            super().wrap(owner, attr, name, count)
+
+    tracer = Recording()
+    tracing.install(tracer)
+    try:
+        assert cli.main(["run", scenario_path("weighted_split"),
+                         "--set", "sim.end_time=2e-5",
+                         "--out", str(tmp_path / "run")]) == 0
+        assert cli.main(["sweep", scenario_path("m_sweep"), "--param", "m",
+                         "--values", "0.25,1.0", "--set", "sim.end_time=2e-5",
+                         "--out", str(tmp_path / "sweep")]) == 0
+    finally:
+        tracer.uninstall()
+    assert not hasattr(cli.water_fill, "__wrapped__")
+    calls = tracer.calls()
+    assert wrapped and [n for n in wrapped if not calls.get(n)] == []
+    assert {c: tracer.counts[c] for c in COUNTS if tracer.counts[c] <= 0} == {}
+    assert tracer.check_nesting() == []

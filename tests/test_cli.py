@@ -291,12 +291,48 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
     ("weighted_split", "sim.signal_delay_mode=[1]", "sim.signal_delay_mode"),
     ("weighted_split", "sim.update_mode=x", "sim.update_mode"),
     ("weighted_split", "flows.0.weight=[1", "override flows.0.weight"),
+    ("weighted_split", "outputs.trace=/tmp/x.csv", "outputs.trace"),
+    ("weighted_split", "outputs.summary=../s.json", "outputs.summary"),
+    ("weighted_split", r"outputs.trace=runs\t.csv", "outputs.trace"),
+    ("weighted_split", "outputs.trace=[t.csv]", "outputs.trace"),
+    ("weighted_split", "name=..", "name"),
+    ("weighted_split", "flows.0.src=[a]", "flows[0].src"),
+    ("weighted_split", "flows.0.dst={b: 1}", "flows[0].dst"),
+    ("weighted_split", "flows.0.route=[a->b,[x]]", "flows[0].route[1]"),
+    ("fat_tree_random", "flow_groups.0.dst=[r]", "flow_groups[0].dst"),
+    ("single_link_nflows", "flow_groups.0.src=true", "flow_groups[0].src"),
 ])
 def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
                                                  field):
     assert main(["oracle", scenario_path(scenario), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert f"error: {field}: expected" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, setting, field", [
+    ("weighted_split", "bogus=1", "bogus"),
+    ("weighted_split", "control.pp=1", "control.pp"),
+    ("weighted_split", "aimd.threshhold=1e-5", "aimd.threshhold"),
+    ("weighted_split", "sim.dtt=1", "sim.dtt"),
+    ("weighted_split", "sim.control=1", "sim.control"),
+    ("weighted_split", "flows.0.wieght=3", "flows[0].wieght"),
+    ("weighted_split", "topology.links.0.bw=1", "topology.links[0].bw"),
+    ("weighted_split", "topology.K=4", "topology.K"),
+    ("fat_tree_random", "topology.nodes=[a]", "topology.nodes"),
+    ("fat_tree_random", "flow_groups.0.cnt=3", "flow_groups[0].cnt"),
+    ("fat_tree_random", "flow_groups.0.weight.normal=1",
+     "flow_groups[0].weight.normal"),
+    ("single_link_nflows", "flow_groups.0.start_stagger.batch=2",
+     "flow_groups[0].start_stagger.batch"),
+    ("weighted_split", "convergence.epsilon=0.1", "convergence.epsilon"),
+    ("weighted_split", "outputs.csv=t.csv", "outputs.csv"),
+])
+def test_unknown_key_exits_2_and_names_it(capsys, scenario, setting, field):
+    """A misspelt key would leave its field at the default unnoticed."""
+    assert main(["oracle", scenario_path(scenario), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: unknown key" in err
     assert "Traceback" not in err
 
 

@@ -19,7 +19,7 @@ from soze_sim import (
     target_delay,
     water_fill,
 )
-from soze_sim.fluid import SimConfigError, Trace
+from soze_sim.fluid import SIGNAL_DELAY_MODES, SimConfigError, Trace
 from soze_sim.model import hosts_of
 
 from conftest import (
@@ -199,6 +199,28 @@ def test_signal_for_overwritten_history_raises():
     with pytest.raises(ValueError, match="overwritten"):
         eng.deliver_signal("fa", 30e-6)
     assert eng.deliver_signal("fa", 60e-6) > 0.0
+
+
+@pytest.mark.parametrize("mode", SIGNAL_DELAY_MODES)
+def test_signal_is_asked_only_of_a_finished_run(mode):
+    """``deliver_signal`` reads the history of a run that returned: before
+    the run, or after a run that stopped part way, it raises; a second run
+    of one engine raises too."""
+    topo, flows, cfg = pinned_rate_setup(mode)
+    eng = FluidSimulation(topo, flows, cfg)
+    with pytest.raises(RuntimeError, match="not started"):
+        eng.deliver_signal("fa", 10e-6)
+
+    def stop(t, filled):
+        raise KeyboardInterrupt
+
+    eng._signals = stop
+    with pytest.raises(KeyboardInterrupt):
+        eng.run()
+    with pytest.raises(RuntimeError, match="not started"):
+        eng.deliver_signal("fa", 10e-6)
+    with pytest.raises(RuntimeError, match="already ran"):
+        eng.run()
 
 
 def test_fixed_lag_history_does_not_grow_with_end_time():
@@ -461,6 +483,38 @@ def test_queue_lag_signal_is_the_latest_root():
         for j, f in enumerate(flows):
             assert eng.deliver_signal(f.id, t) == pytest.approx(
                 ref[j], rel=1e-12, abs=1e-20)
+
+
+def test_queue_lag_route_max_equals_per_hop_interpolation():
+    """Under queue lag each flow is its own read key, so the pair gather
+    interpolates exactly its route hops: every read's route max equals the
+    per-(flow, hop) interpolation over the same rows, bit for bit, on
+    three-hop routes with one base RTT per flow."""
+    topo, flows = rtt_per_flow()
+    dt = 0.2e-6
+    cfg = SimConfig(dt=dt, end_time=100e-6, control=ControlParams(),
+                    sampling_interval=dt,
+                    signal_delay_mode="propagation_plus_queue")
+    eng = FluidSimulation(topo, flows, cfg)
+    gather = eng._route_max
+    reads = []
+
+    def per_hop(rows, frac):
+        got = gather(rows, frac)
+        lohi = eng._hist[(rows % eng._hist_rows)[:, :, None], eng.route_idx]
+        w = frac[:, None]
+        ref = (lohi[0] * (1.0 - w) + lohi[1] * w).max(axis=1)
+        assert np.array_equal(got, ref)
+        reads.append(ref.max())
+        return got
+
+    eng._route_max = per_hop
+    trace = eng.run()
+    assert len(set(trace.base_rtts.values())) == len(flows)
+    assert len(reads) == len(trace.times) - 1 and max(reads) > 0.0
+    for f in flows:
+        eng.deliver_signal(f.id, trace.times[-1])
+    assert len(reads) == len(trace.times) - 1 + len(flows)
 
 
 def test_queue_lag_history_does_not_grow_with_end_time():

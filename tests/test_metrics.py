@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soze_sim import (
     ControlParams,
@@ -17,6 +19,7 @@ from soze_sim import (
     water_fill,
 )
 from soze_sim.fluid import TraceEvent
+from soze_sim.metrics import _settle_time
 from soze_sim.oracle import AllocationResult
 
 from conftest import default_params, flow_on_link, single_link
@@ -207,3 +210,41 @@ def test_mean_rates_window():
     tr = synthetic_trace({"a": np.linspace(0, 100, 101)})
     out = mean_rates(tr, (50e-6, 100e-6))
     assert out["a"] == pytest.approx(75.0)
+
+
+def settle_time_loop(times, errs, after, eps, need):
+    """The per-sample scan that ``_settle_time`` replaced: skip samples
+    before ``after``, count the current run of samples with ``err <= eps``,
+    and stop at the first run of ``need``."""
+    run_len = 0
+    first_ok = None
+    for i in range(len(times)):
+        if times[i] < after - 1e-15:
+            continue
+        if errs[i] <= eps:
+            if first_ok is None:
+                first_ok = i
+            run_len += 1
+            if run_len >= need:
+                return float(times[first_ok]) - after
+        else:
+            run_len = 0
+            first_ok = None
+    return None
+
+
+_ERR = st.one_of(st.floats(0.0, 0.08), st.just(0.05), st.just(math.nan),
+                 st.just(math.inf))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_ERR, min_size=1, max_size=60), st.integers(1, 8),
+       st.integers(-3, 30), st.sampled_from([0.05, 0.1, 0.0]))
+def test_settle_time_equals_the_per_sample_scan(errs, need, start, eps):
+    """Same result, bit for bit, as the loop it replaced: runs cut by misses
+    and NaNs, ``after`` before, on and between samples, runs too short."""
+    times = np.arange(len(errs)) * 1e-6
+    errs = np.array(errs)
+    after = start * 0.5e-6
+    assert _settle_time(times, errs, after, eps, need) == settle_time_loop(
+        times, errs, after, eps, need)
