@@ -3,8 +3,10 @@
 Per integration step of length ``dt`` the engine:
 
 1. applies due events (flow start/stop, weight changes),
-2. sums per-link arrival rates by scattering each flow's rate over its
-   route hops (flat ``(hop_flow, hop_link)`` arrays built once),
+2. after an event or a rate update, sums per-link arrival rates by
+   scattering each flow's rate over its route hops (flat
+   ``(hop_flow, hop_link)`` arrays built once) into the queue increment
+   ``dt * (R - B) / B``; the steps in between reuse it,
 3. integrates each link's queueing delay ``dD/dt = (R - B) / B`` (clamped
    at zero) and writes it to the queue history,
 4. on steps where some flow updates its rate or a trace sample is due,
@@ -13,6 +15,11 @@ Per integration step of length ``dt`` the engine:
    due flows' controllers react (a signal is read only when it is used,
    so the other steps skip delivery),
 5. records a trace sample when due.
+
+Under ``per_rtt`` a gate calendar keeps, per flow, the first step at which
+its gate test can pass (its last update or start plus ``gate / dt`` steps,
+less a rounding margin), and steps before the earliest of them skip the
+test; from then on the float test alone decides who updates.
 
 The queue history that step 4 reads is a ring of rows, one per step.  A
 read is a mode-specific *row step*, which finds per *read key* the two
@@ -470,7 +477,9 @@ class FluidSimulation:
         from row ``o`` afresh, so asking never changes the run.
         """
         if not self._ran:
-            raise RuntimeError("simulation has not started")
+            started = hasattr(self, "_hist")
+            raise RuntimeError("simulation did not finish" if started
+                               else "simulation has not started")
         j = self.flow_ids.index(flow_id)
         t = float(t)
         if t < self._eligible_from[j]:
@@ -531,6 +540,18 @@ class FluidSimulation:
         out_qd = np.empty((n_samples, nl))
         row = 0
 
+        # the gate calendar: with last_update = (r + 1) * dt for a flow's
+        # reset step r, the gate test at step k reads (k - r) * dt > gate -
+        # dt/2, so it cannot pass before step r + lead; slack, in steps,
+        # bounds the rounding of (k + 1) * dt, (r + 1) * dt, gate - dt/2 and
+        # gate / dt for every k < n_steps
+        gate_steps = self.gate / dt
+        slack = 8 * np.finfo(float).eps * (n_steps + 1 + gate_steps)
+        lead = np.floor(gate_steps - 0.5 - slack).astype(np.intp) + 1
+        # per flow, the first step its gate can open (n_steps: none, as
+        # for an inactive flow)
+        opens = np.full(nf, n_steps, dtype=np.intp)
+
         def apply_events(step: int, now: float) -> None:
             nonlocal ev_ptr
             while ev_ptr < len(ev) and ev[ev_ptr][0] <= step:
@@ -541,6 +562,7 @@ class FluidSimulation:
                     active[j] = True
                     rates[j] = self.init_rates[j]
                     last_update[j] = now
+                    opens[j] = step - 1 + lead[j]
                     pkt_acc[j] = 0.0
                     cwnd[j] = max(1.0, rates[j] * self.base_rtt[j] / aimd_pkt)
                     if self.is_aimd[j]:
@@ -552,6 +574,7 @@ class FluidSimulation:
                 elif kind == "stop":
                     active[j] = False
                     rates[j] = 0.0
+                    opens[j] = n_steps
                 events_out.append(TraceEvent(now, kind, f.id, value))
 
         apply_events(0, 0.0)
@@ -563,31 +586,42 @@ class FluidSimulation:
 
         m = self.params.m
         gate_after = self.gate - tol
+        bw = self.bw
         hop_link, hop_flow = self._hop_link, self._hop_flow
         per_rtt = cfg.update_mode == "per_rtt"
+        # the queue increment of one step, kept while the rates stand
+        stale = True
+        next_gate = int(opens.min())
 
         for k in range(n_steps):
             t_next = (k + 1) * dt
             if ev_ptr < len(ev) and ev[ev_ptr][0] <= k:
                 apply_events(k, k * dt)
+                stale = True
+                next_gate = int(opens.min())
 
-            arrival = np.bincount(hop_link, rates.take(hop_flow), nl)
-            qd += dt * (arrival - self.bw) / self.bw
+            if stale:
+                arrival = np.bincount(hop_link, rates.take(hop_flow), nl)
+                inc = dt * (arrival - bw) / bw
+                stale = False
+            qd += inc
             np.maximum(qd, 0.0, out=qd)
             if queue_lag and k + 1 - self._oldest >= self._hist_rows:
                 self._grow_history(k)
             self._hist[(k + 1) % self._hist_rows] = qd
 
-            due = active & (t_next - last_update > gate_after)
-            if per_rtt:
-                mask = due & self.is_soze
-            else:
-                live = active & self.is_soze
-                pkt_acc[live] += dt * rates[live] / cfg.packet_size
-                whole = np.floor(pkt_acc)
-                mask = live & (whole >= 1.0)
-            aimd_mask = due & self.is_aimd
-            update_soze, update_aimd = mask.any(), aimd_mask.any()
+            update_soze = update_aimd = False
+            if k >= next_gate or not per_rtt:
+                due = active & (t_next - last_update > gate_after)
+                if per_rtt:
+                    mask = due & self.is_soze
+                else:
+                    live = active & self.is_soze
+                    pkt_acc[live] += dt * rates[live] / cfg.packet_size
+                    whole = np.floor(pkt_acc)
+                    mask = live & (whole >= 1.0)
+                aimd_mask = due & self.is_aimd
+                update_soze, update_aimd = mask.any(), aimd_mask.any()
             sample = (k + 1) % self.sample_every == 0
             if update_soze or update_aimd or sample:
                 cur_sig = self._signals(t_next, k + 1)
@@ -599,8 +633,9 @@ class FluidSimulation:
                     pkt_acc[mask] -= whole[mask]
                 s = rates[mask] / weights[mask]
                 ratio = update_ratio(s, cur_sig[mask], self.params, exponent)
-                rates[mask] = np.clip(
-                    rates[mask] * ratio, self.params.rate_floor, self.caps[mask]
+                rates[mask] = np.minimum(
+                    np.maximum(rates[mask] * ratio, self.params.rate_floor),
+                    self.caps[mask],
                 )
                 last_update[mask] = t_next
 
@@ -611,6 +646,12 @@ class FluidSimulation:
                     cwnd[mask] * aimd_pkt / self.base_rtt[mask], self.caps[mask]
                 )
                 last_update[mask] = t_next
+
+            if update_soze or update_aimd:
+                stale = True
+                if per_rtt:
+                    opens[due] = k + lead[due]
+                    next_gate = int(opens.min())
 
             if sample:
                 out_t[row] = t_next

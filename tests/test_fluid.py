@@ -19,6 +19,7 @@ from soze_sim import (
     target_delay,
     water_fill,
 )
+from soze_sim import fluid
 from soze_sim.fluid import SIGNAL_DELAY_MODES, SimConfigError, Trace
 from soze_sim.model import hosts_of
 
@@ -64,6 +65,58 @@ def test_link_step_clamps_at_zero():
     assert q[40] == pytest.approx(1.5e-6, rel=1e-9)
     assert np.all(q >= 0.0)
     assert np.all(q[trace.times > 8.1e-6] == 0.0)
+
+
+def test_queue_step_follows_the_rates_in_force():
+    """Sampled every step, each queue row is the one before plus
+    ``dt * (arrival - bw) / bw``, clamped at zero, with the arrival summed
+    in flow order from the rates in force at that step (its events applied
+    first): the increment the engine keeps between rate changes is never
+    stale after a start, a stop, a weight change or an update."""
+    topo = build_topology({
+        "nodes": ["a", "b", "c"],
+        "links": [
+            {"src": "a", "dst": "b", "bandwidth": 100e9, "prop_delay": 0.25e-6},
+            {"src": "b", "dst": "c", "bandwidth": 40e9, "prop_delay": 0.5e-6},
+        ],
+    })
+    flows = [
+        # base RTTs, and so update gates, of 0.5 us and 1.5 us
+        FlowSpec("near", ("a->b",), ((0.0, 1.0), (30e-6, 3.0))),
+        FlowSpec("far", ("a->b", "b->c"), ((0.0, 1.0),)),
+        FlowSpec("late", ("b->c",), ((0.0, 1.0),),
+                 start_time=10.03e-6, stop_time=45.1e-6),
+    ]
+    dt = 0.1e-6
+    cfg = SimConfig(dt=dt, end_time=60e-6, control=ControlParams(),
+                    sampling_interval=dt)
+    eng = FluidSimulation(topo, flows, cfg)
+    trace = eng.run()
+    assert [e.kind for e in trace.events].count("weight") == 4
+    assert {"start", "stop"} <= {e.kind for e in trace.events}
+    assert np.all(np.diff(trace.rates[:, :2], axis=0).any(axis=0))
+    assert trace.queue_delays.max() > 0.0
+
+    bw = [trace.bandwidths[lid] for lid in trace.link_ids]
+    routes = [[trace.link_index(lid) for lid in f.route] for f in flows]
+    events = {}
+    for e in trace.events:
+        events.setdefault(round(e.time / dt), []).append(e)
+    for k in range(eng.n_steps):
+        rates = [float(r) for r in trace.rates[k]]
+        for e in events.get(k, ()):
+            j = trace.flow_index(e.flow_id)
+            if e.kind == "start":
+                rates[j] = float(eng.init_rates[j])
+            elif e.kind == "stop":
+                rates[j] = 0.0
+        arrival = [0.0] * len(bw)
+        for j, route in enumerate(routes):
+            for i in route:
+                arrival[i] += rates[j]
+        for i, b in enumerate(bw):
+            q = float(trace.queue_delays[k, i]) + dt * (arrival[i] - b) / b
+            assert trace.queue_delays[k + 1, i] == max(q, 0.0), (k, i)
 
 
 # -- maxQD delivery ------------------------------------------------------------
@@ -217,7 +270,7 @@ def test_signal_is_asked_only_of_a_finished_run(mode):
     eng._signals = stop
     with pytest.raises(KeyboardInterrupt):
         eng.run()
-    with pytest.raises(RuntimeError, match="not started"):
+    with pytest.raises(RuntimeError, match="did not finish"):
         eng.deliver_signal("fa", 10e-6)
     with pytest.raises(RuntimeError, match="already ran"):
         eng.run()
@@ -415,6 +468,76 @@ def test_coarse_sampling_leaves_the_run_unchanged(change):
     assert len(coarse.times) > 10 and dense.signals.any()
     for name in ("times", "rates", "signals", "queue_delays"):
         assert np.array_equal(getattr(dense, name)[::7], getattr(coarse, name))
+
+
+def gate_replay(flows, gate, dt, n_steps):
+    """Per step, the flows whose update gate opens, replayed in Python
+    floats: a start sets ``last_update = k * dt``, and a flow updates at
+    step ``k`` when ``(k + 1) * dt - last_update > gate - dt / 2``."""
+    start = [max(0, round(f.start_time / dt)) for f in flows]
+    stop = [None if f.stop_time is None else max(0, round(f.stop_time / dt))
+            for f in flows]
+    last, out = {}, {}
+    for k in range(n_steps):
+        for j in range(len(flows)):
+            if start[j] == k:
+                last[j] = k * dt
+            if stop[j] == k:
+                last.pop(j, None)
+        t_next = (k + 1) * dt
+        due = {j for j, lu in last.items()
+               if t_next - lu > float(gate[j]) - dt / 2.0}
+        for j in due:
+            last[j] = t_next
+        if due:
+            out[k] = due
+    return out
+
+
+@pytest.mark.parametrize("gate_steps", [4, 4.49, 4.5, 4.51, 6, 12])
+def test_update_steps_follow_the_float_gate_test(gate_steps, monkeypatch):
+    """The engine skips the gate test on steps where no gate can open yet;
+    the flows it updates on each step are exactly those of a replay of the
+    gate test on every step, for Soze gates of ``gate_steps`` steps and
+    AIMD gates of 5.4 steps, with staggered starts, a stop and samples
+    rarer than updates."""
+    dt = 0.1e-6
+    topo = single_link(prop_delay=0.27e-6)   # base RTT 0.54 us
+    flows = [
+        flow_on_link("s0"),
+        flow_on_link("s1", start_time=1.37e-6),
+        flow_on_link("s2", start_time=3.01e-6, stop_time=40.55e-6),
+        flow_on_link("a0", controller="aimd"),
+        flow_on_link("a1", controller="aimd", start_time=2.26e-6),
+    ]
+    cfg = SimConfig(dt=dt, end_time=200e-6,
+                    control=ControlParams(update_interval=gate_steps * dt),
+                    sampling_interval=23 * gate_steps * dt)
+    eng = FluidSimulation(topo, flows, cfg)
+    step, updated = [None], {}
+
+    def signals(t, filled):
+        step[0] = filled - 1
+        return np.arange(len(flows), dtype=float)   # each signal names its flow
+
+    def record(signal):
+        updated.setdefault(step[0], set()).update(int(x) for x in signal)
+
+    def ratio(s, delay, params, m=None):
+        record(delay)
+        return np.ones_like(s)
+
+    def window(cwnd, signal, config):
+        record(signal)
+        return cwnd
+
+    eng._signals = signals
+    monkeypatch.setattr(fluid, "update_ratio", ratio)
+    monkeypatch.setattr(fluid, "aimd_window", window)
+    eng.run()
+    expected = gate_replay(flows, eng.gate, dt, eng.n_steps)
+    assert set().union(*expected.values()) == set(range(len(flows)))
+    assert updated == expected
 
 
 def latest_root_signals(hist, routes, rtt, eligible, t, filled, dt):
