@@ -26,9 +26,8 @@ A sweep writes ``<name>.sweep_<param>.json``, one row per value:
 
 Exit codes: 0 success, 2 configuration error, 3 convergence required but not
 reached.  A configuration error -- a scenario file that cannot be read or is
-not YAML, a malformed field, ``--set`` or ``--values``, a bad
-``SOZE_SIM_THREADS`` -- prints ``error: <field, file or flag>: ...`` and no
-traceback.  ``SOZE_SIM_THREADS`` caps how many sweep instances run at once.
+not YAML, a malformed field, ``--set`` or ``--values`` -- prints
+``error: <field, file or flag>: ...`` and no traceback.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import metrics
@@ -216,8 +214,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(payload):
-    base_raw, param, value, out_dir = payload
+def _sweep_instance(base_raw: dict, param: str, value,
+                    out_dir: str) -> tuple[dict, list[dict]]:
+    """Run one sweep value; return its sweep row and its summary epochs."""
     raw = copy.deepcopy(base_raw)
     apply_sweep_value(raw, param, value)
     scenario = scenario_from_dict(raw)
@@ -261,20 +260,11 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ScenarioError(f"--values: expected a comma-separated list, "
                             f"got {args.values!r}")
-    # validate the base scenario and the parameter name up front
     base = load_scenario(args.scenario, overrides=args.set or ())
-    apply_sweep_value(copy.deepcopy(base.raw), args.param, values[0])
-    workers = _thread_cap(len(values))
-
-    payloads = [(base.raw, args.param, v, args.out) for v in values]
-    if workers <= 1:
-        results = [_sweep_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-
+    # a bad --param fails in the first instance, before it writes a file
+    results = [_sweep_instance(base.raw, args.param, v, args.out)
+               for v in values]
     rows = [row for row, _ in results]
-    os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, f"{base.name}.sweep_{args.param}.json")
     _atomic_write(sweep_path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     print(f"sweep summary: {sweep_path}")
@@ -287,24 +277,6 @@ def cmd_sweep(args) -> int:
         for ep in epochs:
             print(f"    {_describe_epoch(ep)}")
     return EXIT_OK
-
-
-def _thread_cap(n_tasks: int) -> int:
-    """Sweep workers: ``SOZE_SIM_THREADS`` (an integer >= 1) or the CPU
-    count, and no more than there are tasks."""
-    env = os.environ.get("SOZE_SIM_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(
-                f"SOZE_SIM_THREADS: expected an integer >= 1, got {env!r}"
-            )
-    else:
-        cap = os.cpu_count() or 1
-    return min(cap, n_tasks)
 
 
 def cmd_oracle(args) -> int:

@@ -72,7 +72,7 @@ def target_delay(s, params: ControlParams):
         raise ValueError("rate-per-weight must be > 0")
     span = math.log(alpha) - math.log(beta)
     out = params.p * (math.log(alpha) - np.log(s_arr)) / span + params.k
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return float(out) if s_arr.ndim == 0 else out
 
 
 def inverse_target(delay, params: ControlParams):
@@ -84,7 +84,7 @@ def inverse_target(delay, params: ControlParams):
     alpha, beta = params._require_range()
     d_arr = np.asarray(delay, dtype=float)
     out = alpha * (beta / alpha) ** ((d_arr - params.k) / params.p)
-    return float(out) if np.isscalar(delay) or d_arr.ndim == 0 else out
+    return float(out) if d_arr.ndim == 0 else out
 
 
 def update_ratio(s, delay, params: ControlParams, m=None):
@@ -101,7 +101,7 @@ def update_ratio(s, delay, params: ControlParams, m=None):
     if m is None:
         m = params.m
     out = (inverse_target(delay, params) / s_arr) ** m
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    return float(out) if s_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,7 @@ class SimConfig:
         if self.sampling_interval is not None and self.sampling_interval < self.dt:
             raise SimConfigError("sampling_interval must be >= dt")
         self.control.validate()
+        self.aimd.validate()
 
 
 @dataclass(frozen=True)
@@ -331,7 +332,7 @@ class FluidSimulation:
                 "a flow has zero base RTT and no explicit update interval"
             )
         finest = float(self.gate.min())
-        if config.update_mode == "per_packet":
+        if config.update_mode == "per_packet" and self.is_soze.any():
             finest = min(finest, float(self.base_rtt[self.is_soze].min()))
         if config.dt > finest / 4.0 * (1.0 + 1e-9):
             raise SimConfigError(
@@ -388,7 +389,8 @@ class FluidSimulation:
         ``(2, keys)`` array, and the interpolation weight of ``i1``."""
         if self._queue_lag:
             return self._emission_rows(t, filled)
-        pos = ((t - self._lags) / self.config.dt).clip(0.0, float(filled))
+        pos = np.minimum(np.maximum((t - self._lags) / self.config.dt, 0.0),
+                         float(filled))
         i0 = np.floor(pos).astype(np.intp)
         return np.minimum(i0 + _NEXT_ROW, filled), pos - i0
 

@@ -29,7 +29,6 @@ def load_tracer(monkeypatch):
 
 def test_traced_run_and_sweep_reach_every_wrapped_layer(tmp_path, monkeypatch):
     tracing = load_tracer(monkeypatch)
-    monkeypatch.setenv("SOZE_SIM_THREADS", "1")   # sweep instances in-process
     wrapped = []
 
     class Recording(tracing.Tracer):

@@ -3,6 +3,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 import yaml
 
@@ -123,8 +124,7 @@ def test_oracle_empty_flow_list(tmp_out, capsys):
     assert table["epochs"][0]["flows"] == []
 
 
-def test_sweep_m_convergence_flags(tmp_out, capsys, monkeypatch):
-    monkeypatch.setenv("SOZE_SIM_THREADS", "2")
+def test_sweep_m_convergence_flags(tmp_out, capsys):
     code = main([
         "sweep", scenario_path("m_sweep"),
         "--param", "m", "--values", "0.25,1.0,1.9,2.5",
@@ -137,8 +137,7 @@ def test_sweep_m_convergence_flags(tmp_out, capsys, monkeypatch):
     assert [row["value"] for row in rows] == [0.25, 1.0, 1.9, 2.5]
 
 
-def test_sweep_flow_count(tmp_out, capsys, monkeypatch):
-    monkeypatch.setenv("SOZE_SIM_THREADS", "1")
+def test_sweep_flow_count(tmp_out, capsys):
     code = main([
         "sweep", scenario_path("single_link_nflows"),
         "--param", "flow_count", "--values", "4,8",
@@ -153,9 +152,7 @@ def test_sweep_flow_count(tmp_out, capsys, monkeypatch):
     assert all(row["converged"] for row in rows)
 
 
-def test_sweep_flow_count_judge_all_names_unsettled_epochs(tmp_out, capsys,
-                                                          monkeypatch):
-    monkeypatch.setenv("SOZE_SIM_THREADS", "1")
+def test_sweep_flow_count_judge_all_names_unsettled_epochs(tmp_out, capsys):
     code = main([
         "sweep", scenario_path("single_link_nflows"),
         "--param", "flow_count", "--values", "8",
@@ -415,17 +412,6 @@ def test_absurd_size_exits_2_before_building(tmp_out, capsys, command,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
-def test_bad_thread_cap_exits_2_and_names_variable(tmp_out, capsys,
-                                                   monkeypatch, threads):
-    monkeypatch.setenv("SOZE_SIM_THREADS", threads)
-    assert main(["sweep", scenario_path("m_sweep"), "--param", "m",
-                 "--values", "0.25", "--set", "sim.end_time=2e-5",
-                 "--out", tmp_out]) == 2
-    assert "error: SOZE_SIM_THREADS: " in capsys.readouterr().err
-    assert os.listdir(tmp_out) == []
-
-
 def test_sweep_parses_each_instance_once(tmp_out, monkeypatch):
     import soze_sim.cli as cli
 
@@ -442,7 +428,6 @@ def test_sweep_parses_each_instance_once(tmp_out, monkeypatch):
 
     monkeypatch.setattr(cli, "scenario_from_dict", counting)
     monkeypatch.setattr(cli, "load_scenario", counting_load)
-    monkeypatch.setenv("SOZE_SIM_THREADS", "1")
     path = write_scenario(tmp_out, SMALL)
     assert main([
         "sweep", path, "--param", "m", "--values", "0.25,1.0",
@@ -459,6 +444,41 @@ def test_sweep_parses_each_instance_once(tmp_out, monkeypatch):
         assert (control["m"], control["k"]) == (m, 4e-6)
 
 
+@pytest.mark.parametrize("values", ["1.0,0.25", "0.25,1.0"])
+def test_sweep_instance_equals_a_standalone_run(tmp_out, values):
+    """Instances share one process; none may leak state into the next."""
+    short = ["--set", "sim.end_time=2e-5"]
+    sweep_dir = os.path.join(tmp_out, "sweep")
+    assert main(["sweep", scenario_path("m_sweep"), "--param", "m",
+                 "--values", values, *short, "--out", sweep_dir]) == 0
+    for m in values.split(","):
+        run_dir = os.path.join(tmp_out, f"run_m={m}")
+        assert main(["run", scenario_path("m_sweep"), *short,
+                     "--set", f"control.m={m}", "--out", run_dir]) == 0
+        with open(os.path.join(sweep_dir, f"m_sweep.m={m}.trace.csv"),
+                  "rb") as fh:
+            swept = fh.read()
+        with open(os.path.join(run_dir, "m_sweep.trace.csv"), "rb") as fh:
+            assert fh.read() == swept
+
+
+def test_all_aimd_per_packet_runs_as_per_rtt(tmp_out):
+    """per_packet gates only Soze flows, so with none it changes nothing."""
+    from soze_sim import load_scenario, run as run_sim
+
+    path = scenario_path("single_link_4flows")
+    aimd = ["default_controller=aimd"]
+    per_packet = [*aimd, "sim.update_mode=per_packet"]
+    assert main(["run", path, "--set", per_packet[0], "--set", per_packet[1],
+                 "--out", tmp_out]) == 0
+    packet, rtt = (
+        run_sim(sc.topology, sc.flows, sc.sim)
+        for sc in (load_scenario(path, per_packet), load_scenario(path, aimd))
+    )
+    for name in ("times", "rates", "signals", "queue_delays"):
+        assert np.array_equal(getattr(packet, name), getattr(rtt, name)), name
+
+
 def test_sweep_empty_values_exits_2(tmp_out, capsys):
     assert main([
         "sweep", scenario_path("m_sweep"), "--param", "m", "--values", "",
@@ -472,6 +492,7 @@ def test_sweep_unknown_param_exits_2(tmp_out, capsys):
         "--out", tmp_out,
     ]) == 2
     assert "unknown sweep parameter" in capsys.readouterr().err
+    assert os.listdir(tmp_out) == []
 
 
 def test_builtin_step_in_out_runs(tmp_out):

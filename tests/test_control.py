@@ -114,6 +114,12 @@ def test_update_ratio_vectorizes():
     out = update_ratio(s, 9e-6, P)
     assert out.shape == (3,)
     assert out[0] > out[1] > out[2]
+    # a scalar or a 0-d array gives a float, a 1-d array an array
+    for law, x in ((target_delay, 10e9), (inverse_target, 9e-6)):
+        assert type(law(x, P)) is float
+        assert type(law(np.array(x), P)) is float
+        assert law(np.array([x]), P).shape == (1,)
+    assert type(update_ratio(np.array(10e9), np.array(9e-6), P)) is float
 
 
 def test_adjust_rate_no_move_at_own_target():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from soze_sim import (
+    AimdConfig,
     ControlParams,
     FlowSpec,
     FluidSimulation,
@@ -200,6 +201,13 @@ def test_bad_modes_rejected():
         SimConfig(dt=1e-7, end_time=1e-3, signal_delay_mode="psychic").validate()
     with pytest.raises(SimConfigError):
         SimConfig(dt=1e-7, end_time=1e-3, update_mode="sometimes").validate()
+
+
+def test_bad_aimd_settings_rejected():
+    cfg = SimConfig(dt=0.1e-6, end_time=1e-3, aimd=AimdConfig(md=5.0))
+    with pytest.raises(ValueError, match="md must be in"):
+        FluidSimulation(single_link(), [flow_on_link("f", controller="aimd")],
+                        cfg)
 
 
 # -- signal delivery ----------------------------------------------------------
