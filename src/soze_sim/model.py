@@ -7,16 +7,22 @@ Conventions used throughout the package:
   links, one per direction, because queueing happens per egress direction;
 * host NIC links are ordinary links, so incast bottlenecks at the
   destination edge arise naturally.
+
+Routing runs on one integer index per topology: one array BFS per
+destination gives every node's hop count, and a route walks down them.  A
+lone out-link one hop closer is taken as is; among several, a sha256 of
+(flow id, seed, node) picks one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 class TopologyError(ValueError):
@@ -38,6 +44,15 @@ class Link:
     prop_delay: float     # s
 
 
+class _RouteIndex(NamedTuple):
+    node: dict[str, int]                 # node id -> index, in nodes order
+    in_lo: np.ndarray                    # in_src[in_lo[v]:in_lo[v] + in_n[v]]
+    in_n: np.ndarray                     # are the srcs of the links into v
+    in_src: np.ndarray
+    out: list[list[tuple[str, int]]]     # (link id, dst) sorted by link id
+    hops_by_dst: dict[str, list[int]]    # filled by _distances_to
+
+
 @dataclass(frozen=True)
 class Topology:
     nodes: tuple[str, ...]
@@ -48,17 +63,17 @@ class Topology:
         return {l.id: l for l in self.links}
 
     @cached_property
-    def out_links(self) -> dict[str, tuple[Link, ...]]:
-        out: dict[str, list[Link]] = {n: [] for n in self.nodes}
-        for l in self.links:
-            out[l.src].append(l)
-        # stable per-node ordering so routing is reproducible
-        return {n: tuple(sorted(ls, key=lambda l: l.id)) for n, ls in out.items()}
-
-    @cached_property
-    def _hops_by_dst(self) -> dict[str, dict[str, int]]:
-        # filled by _distances_to: one BFS per destination routed to
-        return {}
+    def _index(self) -> _RouteIndex:
+        node = {n: i for i, n in enumerate(self.nodes)}
+        src = np.array([node[l.src] for l in self.links], dtype=np.intp)
+        dst = np.array([node[l.dst] for l in self.links], dtype=np.intp)
+        in_n = np.bincount(dst, minlength=len(node))
+        # per-node out-links in link-id order, so routing is reproducible
+        out: list[list[tuple[str, int]]] = [[] for _ in self.nodes]
+        for l in sorted(self.links, key=lambda l: l.id):
+            out[node[l.src]].append((l.id, node[l.dst]))
+        return _RouteIndex(node, np.cumsum(in_n) - in_n, in_n,
+                           src[np.argsort(dst, kind="stable")], out, {})
 
     def validate(self) -> None:
         if len(set(self.nodes)) != len(self.nodes):
@@ -221,27 +236,33 @@ def _pick(flow_id: str, seed: int, node: str, n: int) -> int:
     return int.from_bytes(digest[:8], "big") % n
 
 
-def _hops_to(topology: Topology, dst: str) -> dict[str, int]:
-    """Hop distance from every node that can reach ``dst``, by BFS over
-    reversed links."""
-    dist = {dst: 0}
-    incoming: dict[str, list[Link]] = {n: [] for n in topology.nodes}
-    for l in topology.links:
-        incoming[l.dst].append(l)
-    frontier = deque([dst])
-    while frontier:
-        u = frontier.popleft()
-        for l in incoming[u]:
-            if l.src not in dist:
-                dist[l.src] = dist[u] + 1
-                frontier.append(l.src)
-    return dist
+def _hops_to(topology: Topology, dst: str) -> list[int]:
+    """Hop count to ``dst`` from every node, by node index; -1 where there is
+    no path.  A BFS over reversed links, one numpy pass per level, reads each
+    node's incoming links once, when the node is on the frontier."""
+    index = topology._index
+    dist = np.full(len(index.node), -1, dtype=np.intp)
+    first = np.empty_like(dist)   # first[v]: one position of v in src
+    frontier = np.array([index.node[dst]])
+    dist[frontier] = hops = 0
+    while frontier.size:
+        hops += 1
+        n = index.in_n[frontier]
+        end = n.cumsum()
+        # the in_src slots of all frontier nodes, block after block
+        slots = np.arange(end[-1]) + (index.in_lo[frontier] - end + n).repeat(n)
+        src = index.in_src[slots]
+        src = src[dist[src] < 0]
+        first[src] = seen = np.arange(src.size)
+        frontier = src[first[src] == seen]
+        dist[frontier] = hops
+    return dist.tolist()
 
 
-def _distances_to(topology: Topology, dst: str) -> dict[str, int]:
+def _distances_to(topology: Topology, dst: str) -> list[int]:
     """``_hops_to(topology, dst)``, searched once per destination and kept
     on the topology."""
-    memo = topology._hops_by_dst
+    memo = topology._index.hops_by_dst
     if dst not in memo:
         memo[dst] = _hops_to(topology, dst)
     return memo[dst]
@@ -256,49 +277,27 @@ def route_flow(
 ) -> tuple[str, ...]:
     """Pick a shortest path (by hop count) from src to dst.
 
-    Among equal-cost next hops the choice is a deterministic hash of
-    (flow id, seed, node), so a given flow always gets the same route and
-    different flows spread over the ECMP fan-out.
+    The walk runs over the topology's integer index.  At each node the
+    candidates are the out-links one hop closer, in link-id order: a lone one
+    is taken, and among several a sha256 of (flow id, seed, node) picks, so a
+    flow always gets the same route and flows spread over the ECMP fan-out.
     """
     if src == dst:
         raise TopologyError(f"route: src == dst ({src!r})")
+    index = topology._index
     for node in (src, dst):
-        if node not in topology.out_links:
+        if node not in index.node:
             raise TopologyError(f"route: unknown node {node!r}")
     dist = _distances_to(topology, dst)
-    if src not in dist:
+    u, target = index.node[src], index.node[dst]
+    if dist[u] < 0:
         raise TopologyError(f"route: no path from {src!r} to {dst!r}")
     route: list[str] = []
-    node = src
-    while node != dst:
-        candidates = [
-            l for l in topology.out_links[node]
-            if dist.get(l.dst, -1) == dist[node] - 1
-        ]
-        link = candidates[_pick(flow_id, seed, node, len(candidates))]
-        route.append(link.id)
-        node = link.dst
+    while u != target:
+        closer = dist[u] - 1
+        candidates = [(lid, v) for lid, v in index.out[u] if dist[v] == closer]
+        pick = 0 if len(candidates) == 1 else _pick(
+            flow_id, seed, topology.nodes[u], len(candidates))
+        lid, u = candidates[pick]
+        route.append(lid)
     return tuple(route)
-
-
-def enumerate_shortest_routes(
-    topology: Topology, src: str, dst: str
-) -> list[tuple[str, ...]]:
-    """All equal-cost shortest routes, for verification against route_flow."""
-    dist = _distances_to(topology, dst)
-    if src not in dist:
-        return []
-    out: list[tuple[str, ...]] = []
-
-    def walk(node: str, acc: list[str]) -> None:
-        if node == dst:
-            out.append(tuple(acc))
-            return
-        for l in topology.out_links[node]:
-            if dist.get(l.dst, -1) == dist[node] - 1:
-                acc.append(l.id)
-                walk(l.dst, acc)
-                acc.pop()
-
-    walk(src, [])
-    return out

@@ -1,3 +1,7 @@
+import hashlib
+from collections import deque
+
+import numpy as np
 import pytest
 
 from soze_sim import (
@@ -14,12 +18,73 @@ from soze_sim import model
 from soze_sim.model import (
     FlowError,
     TopologyError,
-    enumerate_shortest_routes,
     hosts_of,
     validate_flow,
 )
 
 from conftest import scenario_path, two_switch
+
+
+# Reference routing on node names and Link objects: a dict BFS over
+# reversed links, and a walk that hashes (flow id, seed, node) at every hop.
+# The package's integer-indexed routing must give exactly these routes.
+
+def reference_hops(topology, dst):
+    """Hop distance from every node that can reach ``dst``."""
+    incoming = {n: [] for n in topology.nodes}
+    for l in topology.links:
+        incoming[l.dst].append(l)
+    dist = {dst: 0}
+    frontier = deque([dst])
+    while frontier:
+        u = frontier.popleft()
+        for l in incoming[u]:
+            if l.src not in dist:
+                dist[l.src] = dist[u] + 1
+                frontier.append(l.src)
+    return dist
+
+
+def reference_out_links(topology, node):
+    return sorted((l for l in topology.links if l.src == node),
+                  key=lambda l: l.id)
+
+
+def reference_route(topology, src, dst, seed, flow_id):
+    """The route and the number of its hops that had two or more
+    equal-cost candidates."""
+    dist = reference_hops(topology, dst)
+    route, ties, node = [], 0, src
+    while node != dst:
+        candidates = [l for l in reference_out_links(topology, node)
+                      if dist.get(l.dst, -1) == dist[node] - 1]
+        digest = hashlib.sha256(f"{flow_id}|{seed}|{node}".encode()).digest()
+        link = candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
+        ties += len(candidates) > 1
+        route.append(link.id)
+        node = link.dst
+    return tuple(route), ties
+
+
+def enumerate_shortest_routes(topology, src, dst):
+    """All equal-cost shortest routes, by the reference BFS."""
+    dist = reference_hops(topology, dst)
+    if src not in dist:
+        return []
+    out = []
+
+    def walk(node, acc):
+        if node == dst:
+            out.append(tuple(acc))
+            return
+        for l in reference_out_links(topology, node):
+            if dist.get(l.dst, -1) == dist[node] - 1:
+                acc.append(l.id)
+                walk(l.dst, acc)
+                acc.pop()
+
+    walk(src, [])
+    return out
 
 
 def test_minimal_topology():
@@ -170,8 +235,8 @@ def test_routes_on_a_shared_topology_match_fresh_ones():
             fresh = fat_tree(4, 100e9, 1e-6)
             assert (route_flow(shared, src, dst, seed=3, flow_id=src + dst)
                     == route_flow(fresh, src, dst, seed=3, flow_id=src + dst))
-            assert (enumerate_shortest_routes(shared, src, dst)
-                    == enumerate_shortest_routes(fresh, src, dst))
+            assert (model._distances_to(shared, dst)
+                    == model._hops_to(fresh, dst))
 
 
 def test_fat_tree_parse_searches_each_destination_once(monkeypatch):
@@ -190,6 +255,93 @@ def test_fat_tree_parse_searches_each_destination_once(monkeypatch):
     assert sorted(searched) == sorted(destinations)
 
 
+def _inline(nodes, links):
+    return build_topology({"nodes": nodes, "links": [
+        {"bandwidth": 1e9, "bidirectional": False, **l} for l in links]})
+
+
+DISTANCE_TOPOLOGIES = {
+    "star5": lambda: star(5, 100e9, 1e-6),
+    # z is reached by no node and reaches none
+    "one_way_chain": lambda: _inline(["a", "b", "c", "d", "z"], [
+        {"src": "a", "dst": "b"}, {"src": "b", "dst": "c"},
+        {"src": "c", "dst": "d"}]),
+    # a ring, both directions, with a second link from a to b
+    "ring_parallel": lambda: _inline(["a", "b", "c", "d", "e"], [
+        {"src": u, "dst": v, "bidirectional": True}
+        for u, v in zip("abcde", "bcdea")] + [{"id": "a=>b", "src": "a",
+                                                "dst": "b"}]),
+    "fat_tree4": lambda: fat_tree(4, 100e9, 1e-6),
+    "fat_tree6": lambda: fat_tree(6, 100e9, 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_TOPOLOGIES))
+def test_distances_match_reference_bfs(name):
+    topo = DISTANCE_TOPOLOGIES[name]()
+    for dst in topo.nodes:
+        ref = reference_hops(topo, dst)
+        want = [ref.get(n, -1) for n in topo.nodes]
+        assert model._hops_to(topo, dst) == want
+
+
+def _counting_pick(monkeypatch):
+    calls = []
+    pick = model._pick
+
+    def counting(*args):
+        calls.append(args)
+        return pick(*args)
+
+    monkeypatch.setattr(model, "_pick", counting)
+    return calls
+
+
+def test_fat_tree4_routes_match_reference_for_every_pair(monkeypatch):
+    calls = _counting_pick(monkeypatch)
+    topo = fat_tree(4, 100e9, 1e-6)
+    hosts = hosts_of(topo)
+    ties = 0
+    for seed in range(3):
+        for src in hosts:
+            for dst in hosts:
+                if src == dst:
+                    continue
+                fid = f"{src}-{dst}"
+                ref, n = reference_route(topo, src, dst, seed, fid)
+                got = route_flow(topo, src, dst, seed=seed, flow_id=fid)
+                assert got == ref
+                ties += n
+    assert ties > 0 and len(calls) == ties
+
+
+def test_fat_tree8_random_routes_match_reference(monkeypatch):
+    calls = _counting_pick(monkeypatch)
+    topo = fat_tree(8, 100e9, 1e-6)
+    hosts = hosts_of(topo)
+    rng = np.random.default_rng(2)
+    ties = 0
+    for i in range(1000):
+        a, b = rng.choice(len(hosts), size=2, replace=False)
+        seed = int(rng.integers(0, 1 << 31))
+        ref, n = reference_route(topo, hosts[a], hosts[b], seed, f"r{i}")
+        assert route_flow(topo, hosts[a], hosts[b], seed=seed,
+                          flow_id=f"r{i}") == ref
+        ties += n
+    assert ties > 0 and len(calls) == ties
+
+
+def test_star_routes_hash_nothing(monkeypatch):
+    calls = _counting_pick(monkeypatch)
+    topo = star(5, 100e9, 1e-6)
+    for src in hosts_of(topo):
+        for dst in hosts_of(topo):
+            if src != dst:
+                assert (route_flow(topo, src, dst, seed=1, flow_id=src)
+                        == reference_route(topo, src, dst, 1, src)[0])
+    assert calls == []
+
+
 def test_no_path_rejected():
     topo = build_topology({
         "nodes": ["a", "b", "c"],
@@ -200,6 +352,8 @@ def test_no_path_rejected():
         route_flow(topo, "b", "c")
     with pytest.raises(TopologyError, match="src == dst"):
         route_flow(topo, "a", "a")
+    with pytest.raises(TopologyError, match="unknown node 'ghost'"):
+        route_flow(topo, "a", "ghost")
 
 
 def test_topology_and_routes_reproducible():
