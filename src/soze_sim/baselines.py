@@ -21,7 +21,7 @@ class AimdConfig:
     md: float = 0.20             # multiplicative decrease fraction
     packet_size: float = 8000.0  # bits
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
         if not 0.0 < self.md < 1.0:

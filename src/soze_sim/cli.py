@@ -38,7 +38,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import metrics
 from .control import check_lemma_conditions
@@ -149,12 +149,7 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
     return {
         "scenario": scenario.name,
         "wall_time_s": wall_time,
-        "control": {
-            "p": params.p, "k": params.k, "m": params.m,
-            "alpha": params.alpha, "beta": params.beta,
-            "update_interval": params.update_interval,
-            "rate_floor": params.rate_floor, "rate_cap": params.rate_cap,
-        },
+        "control": asdict(params),
         "sim": {
             "dt": scenario.sim.dt,
             "end_time": scenario.sim.end_time,
@@ -173,8 +168,6 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
 
 @dataclass
 class RunOutput:
-    scenario: Scenario
-    trace: Trace
     summary: dict
     trace_path: str
     summary_path: str
@@ -195,7 +188,7 @@ def execute_scenario(scenario: Scenario, out_dir: str,
         out_dir, scenario.summary_name if tag is None else f"{tag}.summary.json")
     trace.to_csv(trace_path)
     _atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return RunOutput(scenario, trace, summary, trace_path, summary_path)
+    return RunOutput(summary, trace_path, summary_path)
 
 
 def cmd_run(args) -> int:

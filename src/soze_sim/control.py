@@ -40,7 +40,7 @@ class ControlParams:
     rate_floor: float = 1e6
     rate_cap: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.p > 0:
             raise ValueError("p must be > 0")
         if self.k < 0:

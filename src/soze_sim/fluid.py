@@ -66,7 +66,7 @@ import numpy as np
 from .baselines import AimdConfig, aimd_window
 # inverse_target stays a module attribute so profilers can wrap it by name
 from .control import ControlParams, inverse_target, update_ratio
-from .model import FlowSpec, Topology, base_rtt, validate_flow
+from .model import FlowSpec, Topology, base_rtt, route_hops
 
 
 class SimConfigError(ValueError):
@@ -98,7 +98,7 @@ class SimConfig:
     sampling_interval: float | None = None
     aimd: AimdConfig = AimdConfig()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.dt > 0:
             raise SimConfigError("dt must be > 0")
         if not self.end_time >= self.dt:
@@ -113,8 +113,6 @@ class SimConfig:
             raise SimConfigError("packet_size must be > 0")
         if self.sampling_interval is not None and self.sampling_interval < self.dt:
             raise SimConfigError("sampling_interval must be >= dt")
-        self.control.validate()
-        self.aimd.validate()
 
 
 @dataclass(frozen=True)
@@ -242,9 +240,7 @@ def resolve_params(
         min_w = min(w for f in flows for _, w in f.weight_schedule)
         alpha = max_bw / min_w
     beta = params.beta if params.beta is not None else alpha / 1000.0
-    resolved = replace(params, alpha=alpha, beta=beta)
-    resolved.validate()
-    return resolved
+    return replace(params, alpha=alpha, beta=beta)
 
 
 # added to history rows i0, gives the stacked rows (i0, i0 + 1)
@@ -263,15 +259,12 @@ class FluidSimulation:
         flows: Sequence[FlowSpec],
         config: SimConfig,
     ):
-        config.validate()
-        topology.validate()
         ids = [f.id for f in flows]
         if len(set(ids)) != len(ids):
             raise SimConfigError("duplicate flow ids")
         if not flows:
             raise SimConfigError("no flows")
-        for f in flows:
-            validate_flow(topology, f)
+        hops, start = route_hops(topology, flows)
 
         self.topology = topology
         self.flows = list(flows)
@@ -281,13 +274,9 @@ class FluidSimulation:
         self.link_ids = tuple(l.id for l in topology.links)
         self.flow_ids = tuple(ids)
         nf, nl = len(flows), len(topology.links)
-        lidx = {lid: i for i, lid in enumerate(self.link_ids)}
 
         self.bw = np.array([l.bandwidth for l in topology.links])
-        hops = np.array([lidx[lid] for f in flows for lid in f.route],
-                        dtype=np.intp)
-        lengths = np.array([len(f.route) for f in flows])
-        first = np.cumsum(lengths) - lengths
+        lengths, first = np.diff(start), start[:-1]
         max_route = int(lengths.max())
         self.route_pad = np.arange(max_route) < lengths[:, None]  # True = real hop
         # padded with the last hop, so a max over the row ignores padding

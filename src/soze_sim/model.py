@@ -8,6 +8,11 @@ Conventions used throughout the package:
 * host NIC links are ordinary links, so incast bottlenecks at the
   destination edge arise naturally.
 
+Each type checks itself when it is built, so a ``Topology`` or a
+``FlowSpec`` that exists is valid on its own; ``route_hops`` checks a set of
+routes against a topology and lays their hops out flat for the engine and
+the oracle.
+
 Routing runs on one integer index per topology: one array BFS per
 destination gives every node's hop count, and a route walks down them.  A
 lone out-link one hop closer is taken as is; among several, a sha256 of
@@ -20,6 +25,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +52,9 @@ class Link:
 
 class _RouteIndex(NamedTuple):
     node: dict[str, int]                 # node id -> index, in nodes order
+    link: dict[str, int]                 # link id -> index, in links order
+    src: np.ndarray                      # per link, its src and dst index
+    dst: np.ndarray
     in_lo: np.ndarray                    # in_src[in_lo[v]:in_lo[v] + in_n[v]]
     in_n: np.ndarray                     # are the srcs of the links into v
     in_src: np.ndarray
@@ -72,10 +81,11 @@ class Topology:
         out: list[list[tuple[str, int]]] = [[] for _ in self.nodes]
         for l in sorted(self.links, key=lambda l: l.id):
             out[node[l.src]].append((l.id, node[l.dst]))
-        return _RouteIndex(node, np.cumsum(in_n) - in_n, in_n,
+        link = {l.id: j for j, l in enumerate(self.links)}
+        return _RouteIndex(node, link, src, dst, np.cumsum(in_n) - in_n, in_n,
                            src[np.argsort(dst, kind="stable")], out, {})
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node ids")
         node_set = set(self.nodes)
@@ -116,6 +126,34 @@ class FlowSpec:
     controller: str = "soze"            # "soze" | "aimd"
     initial_rate: float | None = None   # bits/s; None -> rate cap / 10
 
+    def __post_init__(self) -> None:
+        if not self.route:
+            raise FlowError(f"flow {self.id!r}: empty route")
+        if len(set(self.route)) != len(self.route):
+            again = next(l for i, l in enumerate(self.route) if l in self.route[:i])
+            raise FlowError(f"flow {self.id!r}: route crosses link {again!r} twice")
+        if not self.weight_schedule:
+            raise FlowError(f"flow {self.id!r}: empty weight schedule")
+        times = [t for t, _ in self.weight_schedule]
+        if not all(math.isfinite(t) for t in times):
+            raise FlowError(f"flow {self.id!r}: schedule times must be finite")
+        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+            raise FlowError(
+                f"flow {self.id!r}: schedule times must be strictly increasing")
+        if not all(math.isfinite(w) and w > 0 for _, w in self.weight_schedule):
+            raise FlowError(f"flow {self.id!r}: weights must be finite and > 0")
+        if times[0] > self.start_time:
+            raise FlowError(
+                f"flow {self.id!r}: first schedule time {times[0]} is after "
+                f"start time {self.start_time}"
+            )
+        if self.stop_time is not None and self.stop_time <= self.start_time:
+            raise FlowError(f"flow {self.id!r}: stop time must be after start time")
+        if self.controller not in ("soze", "aimd"):
+            raise FlowError(f"flow {self.id!r}: unknown controller {self.controller!r}")
+        if self.initial_rate is not None and self.initial_rate <= 0:
+            raise FlowError(f"flow {self.id!r}: initial rate must be > 0")
+
     def weight_at(self, t: float) -> float:
         w = self.weight_schedule[0][1]
         for tw, ww in self.weight_schedule:
@@ -126,44 +164,38 @@ class FlowSpec:
         return w
 
 
-def validate_flow(topology: Topology, flow: FlowSpec) -> None:
-    if not flow.route:
-        raise FlowError(f"flow {flow.id!r}: empty route")
-    links = topology.link_by_id
-    prev_dst = None
-    for lid in flow.route:
-        link = links.get(lid)
-        if link is None:
-            raise FlowError(f"flow {flow.id!r}: unknown link {lid!r} in route")
-        if prev_dst is not None and link.src != prev_dst:
-            raise FlowError(
-                f"flow {flow.id!r}: route breaks at {lid!r} "
-                f"({prev_dst!r} -> {link.src!r})"
-            )
-        prev_dst = link.dst
-    if len(set(flow.route)) != len(flow.route):
-        again = next(l for i, l in enumerate(flow.route) if l in flow.route[:i])
-        raise FlowError(f"flow {flow.id!r}: route crosses link {again!r} twice")
-    if not flow.weight_schedule:
-        raise FlowError(f"flow {flow.id!r}: empty weight schedule")
-    times = [t for t, _ in flow.weight_schedule]
-    if not all(math.isfinite(t) for t in times):
-        raise FlowError(f"flow {flow.id!r}: schedule times must be finite")
-    if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-        raise FlowError(f"flow {flow.id!r}: schedule times must be strictly increasing")
-    if not all(math.isfinite(w) and w > 0 for _, w in flow.weight_schedule):
-        raise FlowError(f"flow {flow.id!r}: weights must be finite and > 0")
-    if times[0] > flow.start_time:
-        raise FlowError(
-            f"flow {flow.id!r}: first schedule time {times[0]} is after start "
-            f"time {flow.start_time}"
+def route_hops(
+    topology: Topology, flows: Sequence[FlowSpec]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flows' routes checked against ``topology`` and laid out flat:
+    ``hop_link`` holds the link index of every hop, flow after flow, and
+    flow ``i`` owns hops ``start[i]:start[i + 1]``.  An unknown link or a
+    hop that does not leave the node the previous hop entered raises
+    FlowError naming the flow."""
+    index = topology._index
+    start = np.zeros(len(flows) + 1, dtype=np.intp)
+    np.cumsum([len(f.route) for f in flows], out=start[1:])
+    try:
+        hop_link = np.fromiter(
+            map(index.link.__getitem__, chain.from_iterable(f.route for f in flows)),
+            dtype=np.intp, count=int(start[-1]),
         )
-    if flow.stop_time is not None and flow.stop_time <= flow.start_time:
-        raise FlowError(f"flow {flow.id!r}: stop time must be after start time")
-    if flow.controller not in ("soze", "aimd"):
-        raise FlowError(f"flow {flow.id!r}: unknown controller {flow.controller!r}")
-    if flow.initial_rate is not None and flow.initial_rate <= 0:
-        raise FlowError(f"flow {flow.id!r}: initial rate must be > 0")
+    except KeyError as exc:
+        lid = exc.args[0]
+        fid = next(f.id for f in flows if lid in f.route)
+        raise FlowError(f"flow {fid!r}: unknown link {lid!r} in route") from None
+    # hop h + 1 must leave where hop h arrives, unless it starts a flow
+    broken = index.src[hop_link[1:]] != index.dst[hop_link[:-1]]
+    broken[start[1:-1] - 1] = False
+    if broken.any():
+        h = int(broken.argmax()) + 1
+        fid = flows[int(np.searchsorted(start, h, side="right")) - 1].id
+        prev, link = (topology.links[j] for j in hop_link[h - 1:h + 1])
+        raise FlowError(
+            f"flow {fid!r}: route breaks at {link.id!r} "
+            f"({prev.dst!r} -> {link.src!r})"
+        )
+    return hop_link, start
 
 
 def base_rtt(topology: Topology, route: Sequence[str]) -> float:
@@ -187,9 +219,7 @@ def star(n: int, bandwidth: float, prop_delay: float) -> Topology:
     links: list[Link] = []
     for i in range(n):
         links += _both_directions(f"h{i}", "sw", bandwidth, prop_delay)
-    topo = Topology(nodes=tuple(nodes), links=tuple(links))
-    topo.validate()
-    return topo
+    return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
 def fat_tree(K: int, bandwidth: float, prop_delay: float) -> Topology:
@@ -221,9 +251,7 @@ def fat_tree(K: int, bandwidth: float, prop_delay: float) -> Topology:
             for l in range(half):
                 links += _both_directions(edge, f"a{pod}_{l}", bandwidth, prop_delay)
                 links += _both_directions(agg, f"c{j}_{l}", bandwidth, prop_delay)
-    topo = Topology(nodes=tuple(nodes), links=tuple(links))
-    topo.validate()
-    return topo
+    return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
 def hosts_of(topology: Topology) -> tuple[str, ...]:

@@ -6,9 +6,9 @@ total weight of its still-unfrozen flows is smallest, freezes those flows at
 unique weighted max-min fair allocation; the simulator is judged against it.
 
 Each freeze round is a few array operations over two layouts built once per
-call: the flat route hops (``hop_link[h]``, ``hop_flow[h]``; flow ``i`` owns
-hops ``start[i]:start[i + 1]``) and a link -> flows CSR index that lists each
-link's flows once, in flow order.  A round
+call: the flat route hops from ``model.route_hops`` (``hop_link[h]``,
+``hop_flow[h]``; flow ``i`` owns hops ``start[i]:start[i + 1]``) and a
+link -> flows CSR index that lists each link's flows in flow order.  A round
 
 - sums the unfrozen weight on every link with ``np.bincount`` over the live
   hops, which adds each link's weights in flow order, starting from zero;
@@ -31,12 +31,11 @@ lists links in the order they saturated, so nothing follows string hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import FlowSpec, Topology
+from .model import FlowSpec, Topology, route_hops
 
 _REL_TOL = 1e-9
 
@@ -81,45 +80,25 @@ def water_fill(
     ordering and of how ties are grouped.
     """
     w: dict[str, float] = {}
-    ids: list[str] = []
-    paths: list[tuple[str, ...]] = []
     for f in flows:
         if f.id in w:
             raise ValueError(f"flow {f.id!r}: duplicate id")
-        if not f.route:
-            raise ValueError(f"flow {f.id!r}: empty route")
         wf = weights[f.id] if weights is not None else f.weight_schedule[0][1]
         if not wf > 0:
             raise ValueError(f"flow {f.id!r}: weight must be > 0")
         w[f.id] = float(wf)
-        ids.append(f.id)
-        paths.append(tuple(f.route))
+    ids = list(w)
 
     link_ids = [l.id for l in topology.links]
-    column = {lid: j for j, lid in enumerate(link_ids)}
-    try:
-        hop_link = np.array(
-            list(map(column.__getitem__, chain.from_iterable(paths))), dtype=np.intp
-        )
-    except KeyError as exc:
-        lid = exc.args[0]
-        fid = next(fid for fid, path in zip(ids, paths) if lid in path)
-        raise ValueError(f"flow {fid!r}: unknown link {lid!r}") from None
-    wts = np.array([w[fid] for fid in ids])
-    count = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
-    start = np.zeros(len(paths) + 1, dtype=np.intp)
-    np.cumsum(count, out=start[1:])
-    hop_flow = np.repeat(np.arange(len(paths)), count)
+    hop_link, start = route_hops(topology, flows)
+    wts = np.array(list(w.values()))
+    hop_flow = np.repeat(np.arange(len(ids)), np.diff(start))
     hop_w = wts[hop_flow]
 
-    # link -> flows CSR in flow order; a flow listed once per link even if
-    # its route repeats the link
+    # link -> flows CSR in flow order; a route crosses each link once
     by_link = np.argsort(hop_link, kind="stable")
-    pair_link, pair_flow = hop_link[by_link], hop_flow[by_link]
-    once = np.ones(len(by_link), dtype=bool)
-    once[1:] = (pair_link[1:] != pair_link[:-1]) | (pair_flow[1:] != pair_flow[:-1])
-    link_flows = pair_flow[once]
-    link_start = np.searchsorted(pair_link[once], np.arange(len(link_ids) + 1))
+    link_flows = hop_flow[by_link]
+    link_start = np.searchsorted(hop_link[by_link], np.arange(len(link_ids) + 1))
     # position of each link id in string order: ties freeze in that order
     rank = np.empty(len(link_ids), dtype=np.intp)
     rank[sorted(range(len(link_ids)), key=link_ids.__getitem__)] = np.arange(
@@ -127,13 +106,13 @@ def water_fill(
     )
 
     residual = np.array([l.bandwidth for l in topology.links], dtype=float)
-    frozen = np.zeros(len(paths), dtype=bool)
-    rate = np.empty(len(paths))
-    bottleneck = np.empty(len(paths), dtype=np.intp)
+    frozen = np.zeros(len(ids), dtype=bool)
+    rate = np.empty(len(ids))
+    bottleneck = np.empty(len(ids), dtype=np.intp)
     froze: list[np.ndarray] = []
     fair_share: dict[str, float] = {}
     live = np.arange(len(hop_link))
-    left = len(paths)
+    left = len(ids)
 
     while left:
         wsum = np.bincount(
@@ -171,7 +150,7 @@ def water_fill(
         ),
         fair_share=fair_share,
         weights=w,
-        routes=dict(zip(ids, paths)),
+        routes={f.id: tuple(f.route) for f in flows},
     )
 
 

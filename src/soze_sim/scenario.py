@@ -40,7 +40,12 @@ directory, so they hold no ``/``, ``\\`` or ``..``.  A malformed field
 raises ``ScenarioError`` whose message starts with the field's name
 (``flows[0].weight``, ``topology.links[1].bandwidth``), or with the override
 or file it came from; a key that no reader reads is refused the same way
-(``control.pp: unknown key``).
+(``control.pp: unknown key``).  Each object checks its own values when it is
+built, and a value it refuses is named by the entry it was built from:
+``flows[i]`` for an explicit flow, ``flow_groups[i]`` for a group's flows,
+and the section for the rest (``control: p must be > 0``).  Explicit
+``route`` entries are checked against the topology; routes found from
+``src`` and ``dst`` are valid as found.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from .model import (
     fat_tree,
     hosts_of,
     route_flow,
+    route_hops,
     star,
-    validate_flow,
 )
 
 
@@ -315,9 +320,9 @@ def _choice(raw: Mapping, key: str, path: str, choices: Sequence[str],
 
 @contextmanager
 def _section_errors(path: str) -> Iterator[None]:
-    """Re-raise a ValueError or TypeError from building or validating the
-    section ``path`` as a ScenarioError naming it; a ScenarioError already
-    names its field and passes unchanged."""
+    """Re-raise a ValueError or TypeError from building the section ``path``
+    as a ScenarioError naming it; a ScenarioError already names its field and
+    passes unchanged."""
     try:
         yield
     except ScenarioError:
@@ -358,9 +363,7 @@ def build_topology(raw: Mapping) -> Topology:
                           src, dst, bw, delay))
         if _flag(entry, "bidirectional", path, True):
             links.append(Link(f"{dst}->{src}", dst, src, bw, delay))
-    topo = Topology(nodes=nodes, links=tuple(links))
-    topo.validate()
-    return topo
+    return Topology(nodes=nodes, links=tuple(links))
 
 
 def _topology_section(raw: Mapping) -> Topology:
@@ -446,8 +449,9 @@ def _expand_group(
         if len(bounds) != 2 or None in bounds:
             raise ScenarioError(f"{where}: expected [low, high], got {bounds!r}")
         uniform = [_number(dict(enumerate(bounds)), i, where) for i in (0, 1)]
-        if not 0 <= uniform[0] <= uniform[1]:
-            raise ScenarioError(f"{where}: need 0 <= low <= high, got {bounds!r}")
+        if not 0 < uniform[0] <= uniform[1]:
+            raise ScenarioError(
+                f"{where}: expected 0 < low <= high, got {bounds!r}")
     else:
         weight = _number(group, "weight", path, 1.0)
     flows: list[FlowSpec] = []
@@ -555,8 +559,8 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         _only(entry, FLOW_KEYS, path)
         fid = _text(entry, "id", path, f"f{i}")
         start = _number(entry, "start", path, 0.0)
-        flows.append(
-            FlowSpec(
+        with _section_errors(path):
+            flow = FlowSpec(
                 id=fid,
                 route=_resolve_route(topology, entry, fid, seed, path),
                 weight_schedule=_weight_schedule(entry, start, path),
@@ -565,26 +569,25 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
                 controller=_text(entry, "controller", path, default_controller),
                 initial_rate=_number(entry, "initial_rate", path, None),
             )
-        )
-    for gi, (_, group) in enumerate(_entries(raw, "flow_groups", "")):
-        flows.extend(
-            _expand_group(topology, group, gi, seed, rng, default_controller)
-        )
+            # a route from route_flow is valid by construction
+            if "route" in entry:
+                route_hops(topology, [flow])
+        flows.append(flow)
+    for gi, (path, group) in enumerate(_entries(raw, "flow_groups", "")):
+        with _section_errors(path):
+            flows.extend(
+                _expand_group(topology, group, gi, seed, rng, default_controller)
+            )
 
     ids = [f.id for f in flows]
     if len(set(ids)) != len(ids):
         dup = sorted({x for x in ids if ids.count(x) > 1})
         raise ScenarioError(f"flows: duplicate ids {dup}")
-    with _section_errors("flows"):
-        for f in flows:
-            validate_flow(topology, f)
 
     with _section_errors("control"):
         control = _numbers(ControlParams, ctrl_raw, "control")
-        control.validate()
     with _section_errors("aimd"):
         aimd = _numbers(AimdConfig, aimd_raw, "aimd")
-        aimd.validate()
 
     if sim_raw.get("dt") is None or sim_raw.get("end_time") is None:
         raise ScenarioError("sim: need both 'dt' and 'end_time'")
@@ -604,7 +607,6 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
             sampling_interval=_number(sim_raw, "sampling_interval", "sim", None),
             aimd=aimd,
         )
-        sim.validate()
 
     eps, window, judge = _convergence_section(_section(raw, "convergence", ""))
     outputs = _section(raw, "outputs", "")

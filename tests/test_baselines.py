@@ -72,9 +72,9 @@ def test_per_flow_rtt_override():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AimdConfig(md=0.0).validate()
+        AimdConfig(md=0.0)
     with pytest.raises(ValueError):
-        AimdConfig(md=1.0).validate()
+        AimdConfig(md=1.0)
     with pytest.raises(ValueError):
-        AimdConfig(threshold=0.0).validate()
-    AimdConfig().validate()
+        AimdConfig(threshold=0.0)
+    AimdConfig()

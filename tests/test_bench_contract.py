@@ -7,19 +7,25 @@ import importlib.util
 import os
 import sys
 
+import soze_sim
 from soze_sim import cli
 
 from conftest import scenario_path
 
-TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # counts that each traced layer must report above zero
 COUNTS = ("oracle.flows", "control.updated_flows", "model.route_hops",
           "fluid.hop_steps")
 
 
-def load_tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(monkeypatch, name):
+    """``perfbench/<name>.py`` as a module, with ``perfbench/`` on the path
+    for its own imports."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -28,7 +34,7 @@ def load_tracer(monkeypatch):
 
 
 def test_traced_run_and_sweep_reach_every_wrapped_layer(tmp_path, monkeypatch):
-    tracing = load_tracer(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracer")
     wrapped = []
 
     class Recording(tracing.Tracer):
@@ -52,3 +58,20 @@ def test_traced_run_and_sweep_reach_every_wrapped_layer(tmp_path, monkeypatch):
     assert wrapped and [n for n in wrapped if not calls.get(n)] == []
     assert {c: tracer.counts[c] for c in COUNTS if tracer.counts[c] <= 0} == {}
     assert tracer.check_nesting() == []
+
+
+def test_setup_step_builds_engines_for_a_run_and_a_sweep(monkeypatch):
+    """``setup_s`` times ``passrun.build_sims``, which reaches the scenario
+    readers and the engine by name."""
+    passrun = load_perfbench(monkeypatch, "passrun")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(ROOT)    # workload paths are relative to the root
+    run = workloads.ops_for("builtin_suite", 7, tiny=True)[0]
+    sweep = workloads.ops_for("sweep_ladders", 7, tiny=True)[0]
+    assert run.param is None and sweep.param is not None
+    for op, n in ((run, 1), (sweep, len(sweep.values))):
+        sims = passrun.build_sims(soze_sim, op)
+        assert len(sims) == n
+        for sc, engine in sims:
+            assert isinstance(engine, soze_sim.FluidSimulation)
+            assert engine.flow_ids == tuple(f.id for f in sc.flows)

@@ -248,6 +248,8 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
 @pytest.mark.parametrize("scenario, setting, field", [
     ("fat_tree_random", "flow_groups.0.weight.uniform=3",
      "flow_groups[0].weight.uniform"),
+    ("fat_tree_random", "flow_groups.0.weight={uniform: [0, 0]}",
+     "flow_groups[0].weight.uniform"),
     ("weighted_split", "sim=5", "sim"),
     ("weighted_split", "control=[1]", "control"),
     ("weighted_split", "flows=5", "flows"),

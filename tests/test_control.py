@@ -209,15 +209,15 @@ def test_lemma_all_pass_at_twice_noosc_bound():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ControlParams(p=0.0).validate()
+        ControlParams(p=0.0)
     with pytest.raises(ValueError):
-        ControlParams(m=0.0).validate()
+        ControlParams(m=0.0)
     with pytest.raises(ValueError):
-        ControlParams(alpha=1e9, beta=2e9).validate()
+        ControlParams(alpha=1e9, beta=2e9)
     with pytest.raises(ValueError):
-        ControlParams(rate_floor=2e9, rate_cap=1e9).validate()
+        ControlParams(rate_floor=2e9, rate_cap=1e9)
     # m >= 2 is representable on purpose: falsification sweeps need it
-    ControlParams(m=2.5).validate()
+    ControlParams(m=2.5)
 
 
 def test_unresolved_range_rejected():

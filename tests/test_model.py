@@ -19,7 +19,7 @@ from soze_sim.model import (
     FlowError,
     TopologyError,
     hosts_of,
-    validate_flow,
+    route_hops,
 )
 
 from conftest import scenario_path, two_switch
@@ -380,24 +380,22 @@ def test_base_rtt_is_round_trip_propagation():
 def test_flow_validation():
     topo = two_switch()
     good = FlowSpec("f", ("h1->s1", "s1->s2"), ((0.0, 1.0),))
-    validate_flow(topo, good)
+    hop_link, start = route_hops(topo, [good])
+    assert [topo.links[j].id for j in hop_link] == list(good.route)
+    assert start.tolist() == [0, 2]
     with pytest.raises(FlowError, match="empty route"):
-        validate_flow(topo, FlowSpec("f", (), ((0.0, 1.0),)))
+        FlowSpec("f", (), ((0.0, 1.0),))
     with pytest.raises(FlowError, match="breaks"):
-        validate_flow(topo, FlowSpec("f", ("h1->s1", "s2->h6"), ((0.0, 1.0),)))
+        route_hops(topo, [FlowSpec("f", ("h1->s1", "s2->h6"), ((0.0, 1.0),))])
     with pytest.raises(FlowError, match="unknown link"):
-        validate_flow(topo, FlowSpec("f", ("nope",), ((0.0, 1.0),)))
+        route_hops(topo, [FlowSpec("f", ("nope",), ((0.0, 1.0),))])
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(FlowError, match="weights"):
-            validate_flow(topo, FlowSpec("f", ("h1->s1",), ((0.0, bad),)))
+            FlowSpec("f", ("h1->s1",), ((0.0, bad),))
     with pytest.raises(FlowError, match="strictly increasing"):
-        validate_flow(
-            topo, FlowSpec("f", ("h1->s1",), ((0.0, 1.0), (0.0, 2.0)))
-        )
+        FlowSpec("f", ("h1->s1",), ((0.0, 1.0), (0.0, 2.0)))
     with pytest.raises(FlowError, match="after start"):
-        validate_flow(
-            topo, FlowSpec("f", ("h1->s1",), ((1.0, 1.0),), start_time=0.0)
-        )
+        FlowSpec("f", ("h1->s1",), ((1.0, 1.0),), start_time=0.0)
 
 
 def test_weight_at_steps():

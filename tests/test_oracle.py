@@ -17,6 +17,7 @@ from soze_sim import (
     load_scenario,
     water_fill,
 )
+from soze_sim.model import FlowError
 from soze_sim.oracle import _REL_TOL
 
 from conftest import (
@@ -312,6 +313,16 @@ def test_maxmin_definition_brute_check():
 def test_empty_route_rejected():
     with pytest.raises(ValueError, match="empty route"):
         water_fill(single_link(), [FlowSpec("f", (), ((0.0, 1.0),))])
+
+
+def test_broken_route_rejected_as_by_the_engine():
+    with pytest.raises(FlowError, match="route breaks"):
+        water_fill(two_switch(), [FlowSpec("f", ("h1->s1", "s2->h6"))])
+
+
+def test_route_crossing_a_link_twice_rejected_when_built():
+    with pytest.raises(FlowError, match="'a->b' twice"):
+        FlowSpec("f", ("a->b", "b->a", "a->b"))
 
 
 def test_duplicate_flow_ids_rejected():
