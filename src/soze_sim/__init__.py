@@ -14,7 +14,6 @@ from .fluid import (
     FluidSimulation,
     SimConfig,
     Trace,
-    initial_rate,
     run,
 )
 from .metrics import (
@@ -28,14 +27,12 @@ from .model import (
     FlowSpec,
     Link,
     Topology,
-    base_rtt,
     fat_tree,
     route_flow,
     star,
 )
 from .oracle import (
     AllocationResult,
-    bottleneck_of,
     fairness_error,
     verify_goal_equivalence,
     water_fill,
@@ -63,14 +60,11 @@ __all__ = [
     "Topology",
     "Trace",
     "aimd_window",
-    "base_rtt",
-    "bottleneck_of",
     "build_topology",
     "check_lemma_conditions",
     "convergence_time",
     "fairness_error",
     "fat_tree",
-    "initial_rate",
     "inverse_target",
     "load_scenario",
     "mean_rates",

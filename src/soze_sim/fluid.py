@@ -16,6 +16,12 @@ Per integration step of length ``dt`` the engine:
    so the other steps skip delivery),
 5. records a trace sample when due.
 
+The per-flow constants are array work over the flat hop layout that
+``model.route_hops`` returns: the base RTT sums the route's propagation
+delays, the rate cap is ``control.rate_cap`` or the first hop's bandwidth,
+the starting rate is the flow's ``initial_rate`` or a tenth of its cap, and
+the control gate is the base RTT or ``control.update_interval``.
+
 Under ``per_rtt`` a gate calendar keeps, per flow, the first step at which
 its gate test can pass (its last update or start plus ``gate / dt`` steps,
 less a rounding margin), and steps before the earliest of them skip the
@@ -66,7 +72,7 @@ import numpy as np
 from .baselines import AimdConfig, aimd_window
 # inverse_target stays a module attribute so profilers can wrap it by name
 from .control import ControlParams, inverse_target, update_ratio
-from .model import FlowSpec, Topology, base_rtt, route_hops
+from .model import FlowSpec, Topology, route_hops
 
 
 class SimConfigError(ValueError):
@@ -215,21 +221,6 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def initial_rate(
-    flow: FlowSpec, params: ControlParams, topology: Topology
-) -> float:
-    """Starting rate for a flow: its own override, else a tenth of its cap."""
-    cap = resolve_cap(flow, params, topology)
-    rate = flow.initial_rate if flow.initial_rate is not None else cap / 10.0
-    return min(max(rate, params.rate_floor), cap)
-
-
-def resolve_cap(flow: FlowSpec, params: ControlParams, topology: Topology) -> float:
-    if params.rate_cap is not None:
-        return params.rate_cap
-    return topology.link_by_id[flow.route[0]].bandwidth
-
-
 def resolve_params(
     params: ControlParams, topology: Topology, flows: Sequence[FlowSpec]
 ) -> ControlParams:
@@ -259,9 +250,6 @@ class FluidSimulation:
         flows: Sequence[FlowSpec],
         config: SimConfig,
     ):
-        ids = [f.id for f in flows]
-        if len(set(ids)) != len(ids):
-            raise SimConfigError("duplicate flow ids")
         if not flows:
             raise SimConfigError("no flows")
         hops, start = route_hops(topology, flows)
@@ -272,7 +260,7 @@ class FluidSimulation:
         self.params = resolve_params(config.control, topology, flows)
 
         self.link_ids = tuple(l.id for l in topology.links)
-        self.flow_ids = tuple(ids)
+        self.flow_ids = tuple(f.id for f in flows)
         nf, nl = len(flows), len(topology.links)
 
         self.bw = np.array([l.bandwidth for l in topology.links])
@@ -289,7 +277,9 @@ class FluidSimulation:
         self._hop_link, self._hop_flow = hops, np.repeat(np.arange(nf), lengths)
         self._hop_first = first
 
-        self.base_rtt = np.array([base_rtt(topology, f.route) for f in flows])
+        # bincount adds from 0.0 in route order, as a sum over the route does
+        prop = np.array([l.prop_delay for l in topology.links], dtype=float)
+        self.base_rtt = 2.0 * np.bincount(self._hop_flow, prop[hops], nf)
         # a read finds history rows once per read key -- a flow's distinct
         # base RTT under fixed_rtt, the flow itself under queue lag -- and
         # interpolates each distinct (key, link) pair a route uses once:
@@ -303,19 +293,19 @@ class FluidSimulation:
         self._hop_pair = hop_pair.reshape(key.shape)
         self._pair_key, self._pair_link = np.divmod(pairs, nl)
 
-        self.caps = np.array([resolve_cap(f, self.params, topology) for f in flows])
-        self.init_rates = np.array(
-            [initial_rate(f, self.params, topology) for f in flows]
-        )
+        params = self.params
+        self.caps = (self.bw[hops[first]] if params.rate_cap is None
+                     else np.full(nf, params.rate_cap, dtype=float))
+        # an unset initial_rate (None) reads as NaN, which FlowSpec refuses
+        init = np.array([f.initial_rate for f in flows], dtype=float)
+        init = np.where(np.isnan(init), self.caps / 10.0, init)
+        self.init_rates = np.minimum(np.maximum(init, params.rate_floor), self.caps)
         self.is_aimd = np.array([f.controller == "aimd" for f in flows])
         self.is_soze = ~self.is_aimd
 
-        self.gate = np.empty(nf)
-        for j, f in enumerate(flows):
-            if self.is_aimd[j] or self.params.update_interval is None:
-                self.gate[j] = self.base_rtt[j]
-            else:
-                self.gate[j] = self.params.update_interval
+        self.gate = self.base_rtt.copy()
+        if params.update_interval is not None:
+            self.gate[self.is_soze] = params.update_interval
         if np.any(self.gate <= 0):
             raise SimConfigError(
                 "a flow has zero base RTT and no explicit update interval"

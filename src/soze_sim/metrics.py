@@ -11,6 +11,10 @@ from .control import ControlParams, target_delay
 from .fluid import Trace
 from .oracle import AllocationResult
 
+# a rate settles within EPS of the oracle, relative, and stays there for
+# WINDOW control intervals; scenarios default to the same rule
+EPS, WINDOW = 0.05, 20
+
 
 @dataclass
 class ConvergenceReport:
@@ -71,8 +75,8 @@ def _fairness_series(trace: Trace, allocation: AllocationResult, lo: int, hi: in
 def convergence_time(
     trace: Trace,
     allocation: AllocationResult,
-    eps: float = 0.05,
-    window: int = 20,
+    eps: float = EPS,
+    window: int = WINDOW,
     *,
     start: float | None = None,
     end: float | None = None,

@@ -9,9 +9,9 @@ Conventions used throughout the package:
   destination edge arise naturally.
 
 Each type checks itself when it is built, so a ``Topology`` or a
-``FlowSpec`` that exists is valid on its own; ``route_hops`` checks a set of
-routes against a topology and lays their hops out flat for the engine and
-the oracle.
+``FlowSpec`` that exists is valid on its own; ``route_hops`` checks a flow
+set against a topology -- distinct flow ids, routes along its links -- and
+lays their hops out flat for the engine and the oracle.
 
 Routing runs on one integer index per topology: one array BFS per
 destination gives every node's hop count, and a route walks down them.  A
@@ -142,6 +142,8 @@ class FlowSpec:
                 f"flow {self.id!r}: schedule times must be strictly increasing")
         if not all(math.isfinite(w) and w > 0 for _, w in self.weight_schedule):
             raise FlowError(f"flow {self.id!r}: weights must be finite and > 0")
+        if not all(map(math.isfinite, (self.start_time, self.stop_time or 0.0))):
+            raise FlowError(f"flow {self.id!r}: start and stop times must be finite")
         if times[0] > self.start_time:
             raise FlowError(
                 f"flow {self.id!r}: first schedule time {times[0]} is after "
@@ -151,7 +153,7 @@ class FlowSpec:
             raise FlowError(f"flow {self.id!r}: stop time must be after start time")
         if self.controller not in ("soze", "aimd"):
             raise FlowError(f"flow {self.id!r}: unknown controller {self.controller!r}")
-        if self.initial_rate is not None and self.initial_rate <= 0:
+        if self.initial_rate is not None and not self.initial_rate > 0:
             raise FlowError(f"flow {self.id!r}: initial rate must be > 0")
 
     def weight_at(self, t: float) -> float:
@@ -169,9 +171,13 @@ def route_hops(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flows' routes checked against ``topology`` and laid out flat:
     ``hop_link`` holds the link index of every hop, flow after flow, and
-    flow ``i`` owns hops ``start[i]:start[i + 1]``.  An unknown link or a
-    hop that does not leave the node the previous hop entered raises
-    FlowError naming the flow."""
+    flow ``i`` owns hops ``start[i]:start[i + 1]``.  A repeated flow id, an
+    unknown link or a hop that does not leave the node the previous hop
+    entered raises FlowError naming the flow."""
+    if len({f.id for f in flows}) < len(flows):
+        seen: set[str] = set()
+        fid = next(f.id for f in flows if f.id in seen or seen.add(f.id))
+        raise FlowError(f"flow {fid!r}: duplicate id")
     index = topology._index
     start = np.zeros(len(flows) + 1, dtype=np.intp)
     np.cumsum([len(f.route) for f in flows], out=start[1:])
@@ -196,12 +202,6 @@ def route_hops(
             f"({prev.dst!r} -> {link.src!r})"
         )
     return hop_link, start
-
-
-def base_rtt(topology: Topology, route: Sequence[str]) -> float:
-    """Zero-load round-trip time: twice the one-way propagation delay."""
-    links = topology.link_by_id
-    return 2.0 * sum(links[lid].prop_delay for lid in route)
 
 
 def _both_directions(src: str, dst: str, bw: float, delay: float) -> list[Link]:

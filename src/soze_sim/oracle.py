@@ -42,13 +42,14 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Weighted max-min fair rates plus each flow's limiting link."""
+    """Weighted max-min fair rates, each flow's limiting link, the fair
+    share of every saturated link and the weights the rates were filled
+    for."""
 
     rates: dict[str, float]                  # flow id -> bits/s
     bottlenecks: dict[str, str]              # flow id -> link where it froze
     fair_share: dict[str, float]             # saturated link -> bits/s per weight
     weights: dict[str, float]
-    routes: dict[str, tuple[str, ...]]
 
     def as_dict(self) -> dict:
         return {
@@ -79,10 +80,9 @@ def water_fill(
     minimum share freeze together; the allocation is independent of flow
     ordering and of how ties are grouped.
     """
+    hop_link, start = route_hops(topology, flows)
     w: dict[str, float] = {}
     for f in flows:
-        if f.id in w:
-            raise ValueError(f"flow {f.id!r}: duplicate id")
         wf = weights[f.id] if weights is not None else f.weight_schedule[0][1]
         if not wf > 0:
             raise ValueError(f"flow {f.id!r}: weight must be > 0")
@@ -90,7 +90,6 @@ def water_fill(
     ids = list(w)
 
     link_ids = [l.id for l in topology.links]
-    hop_link, start = route_hops(topology, flows)
     wts = np.array(list(w.values()))
     hop_flow = np.repeat(np.arange(len(ids)), np.diff(start))
     hop_w = wts[hop_flow]
@@ -150,7 +149,6 @@ def water_fill(
         ),
         fair_share=fair_share,
         weights=w,
-        routes={f.id: tuple(f.route) for f in flows},
     )
 
 
@@ -175,49 +173,6 @@ def verify_goal_equivalence(
     s = [r / w for r, w in zip(rates, weights)]
     mean = sum(s) / len(s)
     return max(s) - min(s) <= eps * mean
-
-
-def bottleneck_of(
-    flow: FlowSpec, allocation: AllocationResult, topology: Topology
-) -> str:
-    """The link that limits ``flow`` in ``allocation``.
-
-    Asserts the structure that makes the maxQD signal work before returning:
-    the flow's rate-per-weight is maximal (ties allowed) among flows crossing
-    its bottleneck, and on every other saturated link of its route some flow
-    reaches an at-least-equal rate-per-weight.
-    """
-    if flow.id not in allocation.bottlenecks:
-        raise ValueError(f"flow {flow.id!r} not present in allocation")
-    lid = allocation.bottlenecks[flow.id]
-    if lid not in {l.id for l in topology.links}:
-        raise ValueError(f"bottleneck {lid!r} not in topology")
-    s_of = {
-        fid: allocation.rates[fid] / allocation.weights[fid]
-        for fid in allocation.rates
-    }
-    on_link: dict[str, list[str]] = {}
-    for fid, route in allocation.routes.items():
-        for rl in route:
-            on_link.setdefault(rl, []).append(fid)
-    own = s_of[flow.id]
-    tol = 1.0 + 1e-6
-    peak = max(s_of[fid] for fid in on_link[lid])
-    if own * tol < peak:
-        raise AssertionError(
-            f"flow {flow.id!r}: rate-per-weight {own:.6g} below peak "
-            f"{peak:.6g} on its bottleneck {lid!r}"
-        )
-    for other in flow.route:
-        if other == lid or other not in allocation.fair_share:
-            continue
-        peak = max(s_of[fid] for fid in on_link[other])
-        if peak * tol < own:
-            raise AssertionError(
-                f"flow {flow.id!r}: strictly largest rate-per-weight on "
-                f"saturated non-bottleneck link {other!r}"
-            )
-    return lid
 
 
 def fairness_error(

@@ -62,6 +62,7 @@ import yaml
 from .baselines import AimdConfig
 from .control import ControlParams
 from .fluid import SIGNAL_DELAY_MODES, UPDATE_MODES, SimConfig, physical_memory
+from .metrics import EPS, WINDOW
 from .model import (
     FlowSpec,
     Link,
@@ -104,8 +105,8 @@ class Scenario:
     trace_name: str           # file names inside the output directory
     summary_name: str
     require_converged: bool = False
-    convergence_eps: float = 0.05
-    convergence_window: int = 20
+    convergence_eps: float = EPS
+    convergence_window: int = WINDOW
     convergence_judge: str = "all"
     raw: dict = field(default_factory=dict)
 
@@ -427,7 +428,7 @@ def _expand_group(
     hosts = hosts_of(topology)
     if "random" in (src0, dst0) and len(hosts) < 2:
         raise ScenarioError(f"{path}: random endpoints need >= 2 hosts")
-    start0 = _number(group, "start", path, 0.0)
+    start0 = _number(group, "start", path, FlowSpec.start_time)
     stagger = _section(group, "start_stagger", path)
     if stagger:
         where = f"{path}.start_stagger"
@@ -551,14 +552,14 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     ctrl_raw = _section(raw, "control", "")
     aimd_raw = _section(raw, "aimd", "")
     seed = _integer(sim_raw, "seed", "sim", 0, minimum=0)
-    default_controller = _text(raw, "default_controller", "", "soze")
+    default_controller = _text(raw, "default_controller", "", FlowSpec.controller)
     rng = np.random.default_rng(seed)
 
     flows: list[FlowSpec] = []
     for i, (path, entry) in enumerate(_entries(raw, "flows", "")):
         _only(entry, FLOW_KEYS, path)
         fid = _text(entry, "id", path, f"f{i}")
-        start = _number(entry, "start", path, 0.0)
+        start = _number(entry, "start", path, FlowSpec.start_time)
         with _section_errors(path):
             flow = FlowSpec(
                 id=fid,

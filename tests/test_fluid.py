@@ -14,7 +14,7 @@ from soze_sim import (
     SimConfig,
     build_topology,
     fat_tree,
-    initial_rate,
+    load_scenario,
     route_flow,
     run,
     target_delay,
@@ -22,11 +22,13 @@ from soze_sim import (
 )
 from soze_sim import fluid
 from soze_sim.fluid import SIGNAL_DELAY_MODES, SimConfigError, Trace
-from soze_sim.model import hosts_of
+from soze_sim.model import FlowError, hosts_of
 
 from conftest import (
+    SCENARIO_DIR,
     default_params,
     flow_on_link,
+    scenario_path,
     single_link,
     two_switch,
     two_switch_flows,
@@ -164,18 +166,55 @@ def test_max_qd():
     assert idle.deliver_signal("long", 1.5e-6) == 0.0
 
 
-# -- initial_rate -------------------------------------------------------------
+# -- per-flow set-up ---------------------------------------------------------
+
+def reference_setup(engine):
+    """Per-flow base RTT, rate cap, starting rate and control gate, computed
+    flow by flow with the scalar expressions the engine's arrays replace."""
+    links, params = engine.topology.link_by_id, engine.params
+    columns = []
+    for f in engine.flows:
+        rtt = 2.0 * sum(links[lid].prop_delay for lid in f.route)
+        cap = (params.rate_cap if params.rate_cap is not None
+               else links[f.route[0]].bandwidth)
+        rate = f.initial_rate if f.initial_rate is not None else cap / 10.0
+        gate = (rtt if f.controller == "aimd" or params.update_interval is None
+                else params.update_interval)
+        columns.append((rtt, cap, min(max(rate, params.rate_floor), cap), gate))
+    return [np.array(c, dtype=float) for c in zip(*columns)]
+
+
+BUILTINS = sorted(n[:-5] for n in os.listdir(SCENARIO_DIR) if n.endswith(".yaml"))
+
+
+@pytest.mark.parametrize("name, sets", [(n, ()) for n in BUILTINS] + [
+    ("fat_tree_random",
+     ("topology.K=8", "flow_groups.0.count=2000", "sim.seed=5")),
+    ("single_link_nflows", ("flow_groups.0.count=1000",)),
+    ("single_link_4flows", ("default_controller=aimd",)),
+    ("weighted_split", ("control.rate_cap=50e9", "flows.0.initial_rate=1e3")),
+    ("single_link_4flows", ("flows.0.controller=aimd", "flows.2.controller=aimd",
+                            "control.update_interval=2e-6")),
+])
+def test_per_flow_setup_equals_scalar_reference(name, sets):
+    scenario = load_scenario(scenario_path(name), sets)
+    engine = FluidSimulation(scenario.topology, scenario.flows, scenario.sim)
+    got = (engine.base_rtt, engine.caps, engine.init_rates, engine.gate)
+    for mine, ref in zip(got, reference_setup(engine)):
+        assert mine.dtype == ref.dtype == np.float64
+        assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+
 
 def test_initial_rate_default_is_tenth_of_cap():
-    topo = single_link()
-    params = default_params()
-    assert initial_rate(flow_on_link("f"), params, topo) == pytest.approx(10e9)
+    cfg = SimConfig(dt=0.1e-6, end_time=1e-3, control=default_params())
+    engine = FluidSimulation(single_link(), [flow_on_link("f")], cfg)
+    assert engine.init_rates.tolist() == [pytest.approx(10e9)]
 
 
 def test_initial_rate_override_passthrough():
-    topo = single_link()
+    cfg = SimConfig(dt=0.1e-6, end_time=1e-3, control=default_params())
     flow = flow_on_link("f", initial_rate=1e6)
-    assert initial_rate(flow, default_params(), topo) == 1e6
+    assert FluidSimulation(single_link(), [flow], cfg).init_rates.tolist() == [1e6]
 
 
 # -- config validation --------------------------------------------------------
@@ -191,9 +230,14 @@ def test_dt_must_be_four_times_finer_than_gate():
 
 def test_duplicate_flow_ids_rejected():
     topo = single_link()
+    flows = [flow_on_link("g"), flow_on_link("f"), flow_on_link("f", 3.0)]
     cfg = SimConfig(dt=0.1e-6, end_time=1e-3)
-    with pytest.raises(SimConfigError, match="duplicate"):
-        FluidSimulation(topo, [flow_on_link("f"), flow_on_link("f")], cfg)
+    with pytest.raises(FlowError, match="^flow 'f': duplicate id$") as engine:
+        FluidSimulation(topo, flows, cfg)
+    # the engine and the oracle refuse the same flow set the same way
+    with pytest.raises(FlowError) as oracle:
+        water_fill(topo, flows)
+    assert str(oracle.value) == str(engine.value)
 
 
 def test_bad_modes_rejected():

@@ -52,7 +52,6 @@ def allocation(rates: dict[str, float]) -> AllocationResult:
         bottlenecks={f: "l" for f in rates},
         fair_share={"l": min(rates.values())},
         weights={f: 1.0 for f in rates},
-        routes={f: ("l",) for f in rates},
     )
 
 

@@ -6,8 +6,9 @@ import pytest
 
 from soze_sim import (
     FlowSpec,
+    FluidSimulation,
     ScenarioError,
-    base_rtt,
+    SimConfig,
     build_topology,
     fat_tree,
     load_scenario,
@@ -373,8 +374,9 @@ def test_topology_and_routes_reproducible():
 
 def test_base_rtt_is_round_trip_propagation():
     topo = star(3, 100e9, 0.5e-6)
-    route = route_flow(topo, "h0", "h2")
-    assert base_rtt(topo, route) == pytest.approx(2 * 2 * 0.5e-6)
+    flow = FlowSpec("f", route_flow(topo, "h0", "h2"))
+    engine = FluidSimulation(topo, [flow], SimConfig(dt=0.1e-6, end_time=1e-5))
+    assert engine.base_rtt.tolist() == [pytest.approx(2 * 2 * 0.5e-6)]
 
 
 def test_flow_validation():
@@ -396,6 +398,15 @@ def test_flow_validation():
         FlowSpec("f", ("h1->s1",), ((0.0, 1.0), (0.0, 2.0)))
     with pytest.raises(FlowError, match="after start"):
         FlowSpec("f", ("h1->s1",), ((1.0, 1.0),), start_time=0.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for times in ({"start_time": bad}, {"stop_time": bad}):
+            with pytest.raises(FlowError, match="^flow 'f': start and stop"):
+                FlowSpec("f", ("h1->s1",), ((-1.0, 1.0),), **times)
+    with pytest.raises(FlowError, match="initial rate"):
+        FlowSpec("f", ("h1->s1",), initial_rate=float("nan"))
+    other = FlowSpec("g", ("h2->s1",))
+    with pytest.raises(FlowError, match="^flow 'f': duplicate id$"):
+        route_hops(topo, [good, other, good])
 
 
 def test_weight_at_steps():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from soze_sim import (
     FlowSpec,
-    bottleneck_of,
     build_topology,
     fairness_error,
     verify_goal_equivalence,
@@ -27,6 +26,47 @@ from conftest import (
     two_switch,
     two_switch_flows,
 )
+
+
+def bottleneck_of(flow, flows, allocation, topology):
+    """The link that limits ``flow`` in ``allocation`` over ``flows``.
+
+    Asserts the structure that makes the maxQD signal work before returning:
+    the flow's rate-per-weight is maximal (ties allowed) among flows crossing
+    its bottleneck, and on every other saturated link of its route some flow
+    reaches an at-least-equal rate-per-weight.
+    """
+    if flow.id not in allocation.bottlenecks:
+        raise ValueError(f"flow {flow.id!r} not present in allocation")
+    lid = allocation.bottlenecks[flow.id]
+    if lid not in {l.id for l in topology.links}:
+        raise ValueError(f"bottleneck {lid!r} not in topology")
+    s_of = {
+        fid: allocation.rates[fid] / allocation.weights[fid]
+        for fid in allocation.rates
+    }
+    on_link: dict[str, list[str]] = {}
+    for f in flows:
+        for rl in f.route:
+            on_link.setdefault(rl, []).append(f.id)
+    own = s_of[flow.id]
+    tol = 1.0 + 1e-6
+    peak = max(s_of[fid] for fid in on_link[lid])
+    if own * tol < peak:
+        raise AssertionError(
+            f"flow {flow.id!r}: rate-per-weight {own:.6g} below peak "
+            f"{peak:.6g} on its bottleneck {lid!r}"
+        )
+    for other in flow.route:
+        if other == lid or other not in allocation.fair_share:
+            continue
+        peak = max(s_of[fid] for fid in on_link[other])
+        if peak * tol < own:
+            raise AssertionError(
+                f"flow {flow.id!r}: strictly largest rate-per-weight on "
+                f"saturated non-bottleneck link {other!r}"
+            )
+    return lid
 
 
 def brute_force_fill(topology, flows, weights, step=0.01e9):
@@ -359,7 +399,7 @@ def test_bottleneck_of_single_link():
     topo = single_link()
     flows = [flow_on_link("a", 2.0)]
     alloc = water_fill(topo, flows)
-    assert bottleneck_of(flows[0], alloc, topo) == "a->b"
+    assert bottleneck_of(flows[0], flows, alloc, topo) == "a->b"
 
 
 def test_bottlenecks_shift_with_weight():
@@ -368,12 +408,12 @@ def test_bottlenecks_shift_with_weight():
     alloc = water_fill(topo, flows)
     for fid in ("x2", "x3", "x4"):
         flow = next(f for f in flows if f.id == fid)
-        assert bottleneck_of(flow, alloc, topo) == "s2->h6"
+        assert bottleneck_of(flow, flows, alloc, topo) == "s2->h6"
     flows = two_switch_flows(w1=5.0)
     alloc = water_fill(topo, flows)
     for fid in ("x2", "x3", "x4"):
         flow = next(f for f in flows if f.id == fid)
-        assert bottleneck_of(flow, alloc, topo) == "s1->s2"
+        assert bottleneck_of(flow, flows, alloc, topo) == "s1->s2"
 
 
 def test_fairness_error_cases():
