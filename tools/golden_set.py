@@ -93,27 +93,28 @@ def output_sums(out: str, label: str) -> list[tuple[str, str]]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("usage: PYTHONPATH=src python3 tools/golden_set.py OUT_DIR",
+              file=sys.stderr)
         return 2
     out = os.path.abspath(argv[0])
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
     sums = []
     for label, scenario, sets in RUNS:
-        argv = ["run", os.path.join(SCENARIOS, f"{scenario}.yaml"),
-                "--out", os.path.join(out, label)]
+        cmd = ["run", os.path.join(SCENARIOS, f"{scenario}.yaml"),
+               "--out", os.path.join(out, label)]
         for spec in sets:
-            argv += ["--set", spec]
-        sums.append((sha256(call(argv, out)), f"{label}/stdout"))
+            cmd += ["--set", spec]
+        sums.append((sha256(call(cmd, out)), f"{label}/stdout"))
         sums += output_sums(out, label)
     for name in BUILTINS:
-        argv = ["oracle", os.path.join(SCENARIOS, f"{name}.yaml")]
-        sums.append((sha256(call(argv, out)), f"oracle/{name}/stdout"))
+        cmd = ["oracle", os.path.join(SCENARIOS, f"{name}.yaml")]
+        sums.append((sha256(call(cmd, out)), f"oracle/{name}/stdout"))
     scenario, param, values = SWEEP
     label = f"{scenario}.sweep_{param}"
-    argv = ["sweep", os.path.join(SCENARIOS, f"{scenario}.yaml"),
-            "--param", param, "--values", values, "--out", os.path.join(out, label)]
-    sums.append((sha256(call(argv, out)), f"{label}/stdout"))
+    cmd = ["sweep", os.path.join(SCENARIOS, f"{scenario}.yaml"),
+           "--param", param, "--values", values, "--out", os.path.join(out, label)]
+    sums.append((sha256(call(cmd, out)), f"{label}/stdout"))
     sums += output_sums(out, label)
     with open(os.path.join(out, "SHA256SUMS"), "w") as fh:
         fh.writelines(f"{digest}  {name}\n" for digest, name in sums)
