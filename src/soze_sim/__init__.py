@@ -19,7 +19,6 @@ from .fluid import (
 from .metrics import (
     ConvergenceReport,
     convergence_time,
-    mean_rates,
     target_delay_error,
     utilization,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "fat_tree",
     "inverse_target",
     "load_scenario",
-    "mean_rates",
     "route_flow",
     "run",
     "scenario_from_dict",

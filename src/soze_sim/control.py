@@ -10,7 +10,10 @@ flow's own target:
 
 ``alpha`` and ``beta`` bound the expected rate-per-weight range, ``p`` scales
 the usable delay band above the base delay ``k``, and ``m < 2`` smooths the
-multiplicative step.  All functions accept scalars or numpy arrays.
+multiplicative step.  The public functions accept scalars or numpy arrays
+and check them; the update law and its inverse target each have one private
+array kernel, which assumes resolved ``alpha``/``beta`` and ``s > 0``.
+``update_ratio`` is the engine's entry point, where profilers time it.
 """
 
 from __future__ import annotations
@@ -64,12 +67,27 @@ class ControlParams:
         return self.alpha, self.beta
 
 
+def _inverse_target(delay, params: ControlParams):
+    a = params.alpha
+    return a * (params.beta / a) ** ((delay - params.k) / params.p)
+
+
+def _update_ratio(s, delay, params: ControlParams, m):
+    return (_inverse_target(delay, params) / s) ** m
+
+
+def _positive(s) -> np.ndarray:
+    # one reduce; fmin skips NaN, so a NaN passes and gives a NaN result
+    s = np.asarray(s, dtype=float)
+    if np.fmin.reduce(s, axis=None, initial=np.inf) <= 0:
+        raise ValueError("rate-per-weight must be > 0")
+    return s
+
+
 def target_delay(s, params: ControlParams):
     """Target queueing delay for rate-per-weight ``s``; decreasing in s."""
     alpha, beta = params._require_range()
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
-        raise ValueError("rate-per-weight must be > 0")
+    s_arr = _positive(s)
     span = math.log(alpha) - math.log(beta)
     out = params.p * (math.log(alpha) - np.log(s_arr)) / span + params.k
     return float(out) if s_arr.ndim == 0 else out
@@ -81,9 +99,9 @@ def inverse_target(delay, params: ControlParams):
     Exact inverse of :func:`target_delay`; extrapolates smoothly outside
     [k, k+p], so callers clamp the resulting rates, not the delay.
     """
-    alpha, beta = params._require_range()
+    params._require_range()
     d_arr = np.asarray(delay, dtype=float)
-    out = alpha * (beta / alpha) ** ((d_arr - params.k) / params.p)
+    out = _inverse_target(d_arr, params)
     return float(out) if d_arr.ndim == 0 else out
 
 
@@ -95,12 +113,10 @@ def update_ratio(s, delay, params: ControlParams, m=None):
     same delay with equal rate-per-weight move identically.  ``m`` defaults
     to ``params.m``; the per-packet gate passes a per-flow exponent.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
-        raise ValueError("rate-per-weight must be > 0")
-    if m is None:
-        m = params.m
-    out = (inverse_target(delay, params) / s_arr) ** m
+    s_arr = _positive(s)
+    params._require_range()
+    out = _update_ratio(s_arr, np.asarray(delay, dtype=float), params,
+                        params.m if m is None else m)
     return float(out) if s_arr.ndim == 0 else out
 
 

@@ -8,7 +8,7 @@ Per integration step of length ``dt`` the engine:
    ``(hop_flow, hop_link)`` arrays built once) into the queue increment
    ``dt * (R - B) / B``; the steps in between reuse it,
 3. integrates each link's queueing delay ``dD/dt = (R - B) / B`` (clamped
-   at zero) and writes it to the queue history,
+   at zero) in place into its row of the queue history,
 4. on steps where some flow updates its rate or a trace sample is due,
    delivers to every flow its lagged maxQD signal -- the maximum queueing
    delay along its route as it stood one feedback lag ago -- and lets the
@@ -146,17 +146,8 @@ class Trace:
     control_intervals: dict[str, float] = field(default_factory=dict)
     sampling_interval: float = 0.0
 
-    def flow_index(self, flow_id: str) -> int:
-        return self.flow_ids.index(flow_id)
-
     def link_index(self, link_id: str) -> int:
         return self.link_ids.index(link_id)
-
-    def rates_at(self, t: float) -> dict[str, float]:
-        """Per-flow rates at the sample nearest to (and not after) ``t``."""
-        idx = int(np.searchsorted(self.times, t + 1e-15, side="right")) - 1
-        idx = max(idx, 0)
-        return {fid: float(self.rates[idx, i]) for i, fid in enumerate(self.flow_ids)}
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write the trace as CSV: a header, then per sample the time, the
@@ -370,7 +361,7 @@ class FluidSimulation:
             return self._emission_rows(t, filled)
         pos = np.minimum(np.maximum((t - self._lags) / self.config.dt, 0.0),
                          float(filled))
-        i0 = np.floor(pos).astype(np.intp)
+        i0 = pos.astype(np.intp)    # pos >= 0, so this is floor
         return np.minimum(i0 + _NEXT_ROW, filled), pos - i0
 
     def _emission_rows(self, t: float, filled: int):
@@ -409,7 +400,7 @@ class FluidSimulation:
         frac = frac.take(self._pair_key)
         pairs = lohi[0] * (1.0 - frac) + lohi[1] * frac
         # padding repeats each route's last hop, so it cannot raise the max
-        return pairs.take(self._hop_pair).max(axis=0)
+        return np.maximum.reduce(pairs.take(self._hop_pair), axis=0)
 
     def _grow_history(self, filled: int) -> None:
         """Double the queue-lag ring (to at most one row per step), keeping
@@ -428,10 +419,11 @@ class FluidSimulation:
         rows that no later read can need."""
         rows, frac = self._read_rows(t, filled)
         if self._queue_lag:
-            self._oldest = int(rows[0].min())
+            self._oldest = int(np.minimum.reduce(rows[0]))
         sig = self._route_max(rows, frac)
         # no feedback before the first ACK returns
-        sig[t < self._eligible_from] = 0.0
+        if t < self._last_ack:
+            sig[t < self._eligible_from] = 0.0
         return sig
 
     def deliver_signal(self, flow_id: str, t: float) -> float:
@@ -507,6 +499,7 @@ class FluidSimulation:
         self._eligible_from = self.base_rtt + np.array(
             [f.start_time for f in self.flows]
         )
+        self._last_ack = float(np.maximum.reduce(self._eligible_from))
 
         aimd = cfg.aimd
         aimd_pkt = aimd.packet_size
@@ -544,7 +537,6 @@ class FluidSimulation:
                     rates[j] = self.init_rates[j]
                     last_update[j] = now
                     opens[j] = step - 1 + lead[j]
-                    pkt_acc[j] = 0.0
                     cwnd[j] = max(1.0, rates[j] * self.base_rtt[j] / aimd_pkt)
                     if self.is_aimd[j]:
                         rates[j] = min(
@@ -570,39 +562,45 @@ class FluidSimulation:
         bw = self.bw
         hop_link, hop_flow = self._hop_link, self._hop_flow
         per_rtt = cfg.update_mode == "per_rtt"
+        has_aimd = bool(np.logical_or.reduce(self.is_aimd))
         # the queue increment of one step, kept while the rates stand
         stale = True
-        next_gate = int(opens.min())
+        next_gate = int(np.minimum.reduce(opens))
 
         for k in range(n_steps):
             t_next = (k + 1) * dt
             if ev_ptr < len(ev) and ev[ev_ptr][0] <= k:
                 apply_events(k, k * dt)
                 stale = True
-                next_gate = int(opens.min())
+                next_gate = int(np.minimum.reduce(opens))
 
             if stale:
                 arrival = np.bincount(hop_link, rates.take(hop_flow), nl)
                 inc = dt * (arrival - bw) / bw
                 stale = False
-            qd += inc
-            np.maximum(qd, 0.0, out=qd)
             if queue_lag and k + 1 - self._oldest >= self._hist_rows:
                 self._grow_history(k)
-            self._hist[(k + 1) % self._hist_rows] = qd
+            # qd becomes the history row of step k + 1
+            qd = np.add(qd, inc, out=self._hist[(k + 1) % self._hist_rows])
+            np.maximum(qd, 0.0, out=qd)
 
             update_soze = update_aimd = False
             if k >= next_gate or not per_rtt:
-                due = active & (t_next - last_update > gate_after)
+                if per_rtt or has_aimd:
+                    due = active & (t_next - last_update > gate_after)
                 if per_rtt:
-                    mask = due & self.is_soze
+                    mask = due
                 else:
-                    live = active & self.is_soze
-                    pkt_acc[live] += dt * rates[live] / cfg.packet_size
+                    # unstarted and stopped flows have rate 0, and AIMD
+                    # counters are never read, so every counter runs
+                    pkt_acc += dt * rates / cfg.packet_size
                     whole = np.floor(pkt_acc)
-                    mask = live & (whole >= 1.0)
-                aimd_mask = due & self.is_aimd
-                update_soze, update_aimd = mask.any(), aimd_mask.any()
+                    mask = whole >= 1.0
+                if has_aimd:
+                    mask = mask & self.is_soze
+                    aimd_mask = due & self.is_aimd
+                    update_aimd = np.logical_or.reduce(aimd_mask)
+                update_soze = np.logical_or.reduce(mask)
             sample = (k + 1) % self.sample_every == 0
             if update_soze or update_aimd or sample:
                 cur_sig = self._signals(t_next, k + 1)
@@ -632,7 +630,7 @@ class FluidSimulation:
                 stale = True
                 if per_rtt:
                     opens[due] = k + lead[due]
-                    next_gate = int(opens.min())
+                    next_gate = int(np.minimum.reduce(opens))
 
             if sample:
                 out_t[row] = t_next

@@ -189,12 +189,3 @@ def target_delay_error(
     lo, hi = _slice(trace, window[0], window[1])
     mean_delay = float(trace.queue_delays[lo:hi, trace.link_index(link)].mean())
     return abs(mean_delay - expected) / expected
-
-
-def mean_rates(trace: Trace, window: tuple[float, float]) -> dict[str, float]:
-    """Per-flow mean rates over a time window (steady-state readout)."""
-    lo, hi = _slice(trace, window[0], window[1])
-    return {
-        fid: float(trace.rates[lo:hi, i].mean())
-        for i, fid in enumerate(trace.flow_ids)
-    }

@@ -68,10 +68,6 @@ class Topology:
     links: tuple[Link, ...]
 
     @cached_property
-    def link_by_id(self) -> dict[str, Link]:
-        return {l.id: l for l in self.links}
-
-    @cached_property
     def _index(self) -> _RouteIndex:
         node = {n: i for i, n in enumerate(self.nodes)}
         src = np.array([node[l.src] for l in self.links], dtype=np.intp)

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from soze_sim import ControlParams, FlowSpec, SimConfig, Topology, build_topology
+from soze_sim.metrics import _slice
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "soze_sim", "scenarios"
@@ -64,6 +65,13 @@ def default_params(**kw) -> ControlParams:
     base = dict(p=20e-6, k=3e-6, m=0.25, alpha=100e9, beta=0.1e9)
     base.update(kw)
     return ControlParams(**base)
+
+
+def mean_rates(trace, window: tuple[float, float]) -> dict[str, float]:
+    """Per-flow mean rates over a time window (steady-state readout)."""
+    lo, hi = _slice(trace, window[0], window[1])
+    return {fid: float(trace.rates[lo:hi, i].mean())
+            for i, fid in enumerate(trace.flow_ids)}
 
 
 def quick_sim(dt: float = 0.125e-6, end: float = 1.5e-3, **kw) -> SimConfig:

@@ -17,7 +17,6 @@ from soze_sim import (
     convergence_time,
     fairness_error,
     load_scenario,
-    mean_rates,
     target_delay,
     target_delay_error,
     utilization,
@@ -26,7 +25,7 @@ from soze_sim import (
 )
 from soze_sim.cli import epoch_allocations
 
-from conftest import scenario_path
+from conftest import mean_rates, scenario_path
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

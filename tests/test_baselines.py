@@ -52,7 +52,7 @@ def aimd_pair_run():
 
 def test_gate_holds_within_one_rtt():
     trace = aimd_pair_run()
-    fast = trace.rates[:, trace.flow_index("fast")]
+    fast = trace.rates[:, trace.flow_ids.index("fast")]
     pkt_rate = 8000.0 / 0.5e-6
     # one window step per RTT, on the step the RTT elapses, never in between
     for i, t in enumerate(trace.times):
@@ -63,7 +63,7 @@ def test_gate_holds_within_one_rtt():
 def test_per_flow_rtt_override():
     trace = aimd_pair_run()
     assert trace.control_intervals == {"fast": 0.5e-6, "slow": 1e-6}
-    slow = trace.rates[:, trace.flow_index("slow")]
+    slow = trace.rates[:, trace.flow_ids.index("slow")]
     # each flow paces its window by its own base RTT: rate = cwnd * pkt / rtt
     assert slow[7] == pytest.approx(1 * 8000.0 / 1e-6)
     assert slow[8] == pytest.approx(2 * 8000.0 / 1e-6)

@@ -9,7 +9,7 @@ import yaml
 
 from soze_sim.cli import main
 
-from conftest import scenario_path
+from conftest import mean_rates, scenario_path
 
 
 def write_scenario(tmp_path, raw, name="scenario.yaml"):
@@ -498,7 +498,7 @@ def test_sweep_unknown_param_exits_2(tmp_out, capsys):
 
 
 def test_builtin_step_in_out_runs(tmp_out):
-    from soze_sim import load_scenario, mean_rates, run as run_sim
+    from soze_sim import load_scenario, run as run_sim
 
     sc = load_scenario(scenario_path("step_in_out"))
     trace = run_sim(sc.topology, sc.flows, sc.sim)
@@ -513,7 +513,7 @@ def test_builtin_step_in_out_runs(tmp_out):
 
 
 def test_builtin_granularity_sweep_resolves_per_mille_steps(tmp_out):
-    from soze_sim import load_scenario, mean_rates, run as run_sim
+    from soze_sim import load_scenario, run as run_sim
 
     sc = load_scenario(scenario_path("granularity_sweep"))
     trace = run_sim(sc.topology, sc.flows, sc.sim)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from soze_sim import (
     ControlParams,
@@ -14,6 +15,7 @@ from soze_sim import (
     target_delay,
     update_ratio,
 )
+from soze_sim.control import _update_ratio
 
 from conftest import default_params, flow_on_link, single_link
 
@@ -120,6 +122,70 @@ def test_update_ratio_vectorizes():
         assert type(law(np.array(x), P)) is float
         assert law(np.array([x]), P).shape == (1,)
     assert type(update_ratio(np.array(10e9), np.array(9e-6), P)) is float
+
+
+EXPONENTS = (0.25, 0.5, 1.0, 2.0, 2.5)   # numpy special-cases some
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def update_inputs(draw, min_flows=0):
+    """Engine-shaped operands: per-flow ``s`` and delay arrays, and ``m``
+    either one of EXPONENTS or a per-flow exponent array."""
+    n = draw(st.integers(min_flows, 6))
+    s = draw(hnp.arrays(float, n, elements=st.floats(1e5, 1e13)))
+    delay = draw(hnp.arrays(float, n, elements=st.floats(0.0, 60e-6)))
+    m = draw(st.sampled_from(EXPONENTS) | hnp.arrays(
+        float, n, elements=st.sampled_from(EXPONENTS + (0.75,))))
+    return s, delay, m
+
+
+@given(update_inputs())
+@example((np.array([]), np.array([]), 0.25))
+@example((np.array([]), np.array([]), np.array([])))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_update_ratio_is_its_kernel_bit_for_bit(inputs):
+    """The checked ``update_ratio`` returns exactly what its kernel, and
+    the law written out in full, compute on the same operands; a 0-d ``s``
+    gives a float, an empty array an empty array."""
+    s, delay, m = inputs
+    out = update_ratio(s, delay, P, m)
+    law = (P.alpha * (P.beta / P.alpha) ** ((delay - P.k) / P.p) / s) ** m
+    assert bits(out) == bits(_update_ratio(s, delay, P, m)) == bits(law)
+    assert out.shape == s.shape
+    for j in range(len(s)):
+        mj = m if np.ndim(m) == 0 else m[j]
+        one = update_ratio(s[j], delay[j], P, mj)
+        assert type(one) is float
+        assert bits(one) == bits(_update_ratio(np.asarray(s[j]), delay[j], P, mj))
+
+
+@given(update_inputs(min_flows=1),
+       st.sampled_from([0.0, -0.0, -1e9, -np.inf]), st.integers(0, 5))
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_update_ratio_refuses_nonpositive_and_passes_nan(inputs, bad, at):
+    """Any ``s <= 0`` raises, also next to a NaN; a NaN ``s`` alone gives a
+    NaN ratio for its flow and leaves the others as they were."""
+    s, delay, m = inputs
+    at %= len(s)
+    bad_s = s.copy()
+    bad_s[at] = bad
+    with pytest.raises(ValueError, match="must be > 0"):
+        update_ratio(bad_s, delay, P, m)
+    nan_s = s.copy()
+    nan_s[at] = np.nan
+    out = update_ratio(nan_s, delay, P, m)
+    keep = np.arange(len(s)) != at
+    assert np.isnan(out[at])
+    assert bits(out[keep]) == bits(update_ratio(s, delay, P, m)[keep])
+    if len(s) > 1:
+        nan_s[(at + 1) % len(s)] = bad
+        with pytest.raises(ValueError, match="must be > 0"):
+            update_ratio(nan_s, delay, P, m)
+    assert math.isnan(update_ratio(np.nan, 9e-6, P))
 
 
 def test_adjust_rate_no_move_at_own_target():

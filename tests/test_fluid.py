@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 from dataclasses import replace
 
@@ -108,7 +109,7 @@ def test_queue_step_follows_the_rates_in_force():
     for k in range(eng.n_steps):
         rates = [float(r) for r in trace.rates[k]]
         for e in events.get(k, ()):
-            j = trace.flow_index(e.flow_id)
+            j = trace.flow_ids.index(e.flow_id)
             if e.kind == "start":
                 rates[j] = float(eng.init_rates[j])
             elif e.kind == "stop":
@@ -171,7 +172,8 @@ def test_max_qd():
 def reference_setup(engine):
     """Per-flow base RTT, rate cap, starting rate and control gate, computed
     flow by flow with the scalar expressions the engine's arrays replace."""
-    links, params = engine.topology.link_by_id, engine.params
+    links = {l.id: l for l in engine.topology.links}
+    params = engine.params
     columns = []
     for f in engine.flows:
         rtt = 2.0 * sum(links[lid].prop_delay for lid in f.route)
@@ -590,6 +592,80 @@ def test_update_steps_follow_the_float_gate_test(gate_steps, monkeypatch):
     assert updated == expected
 
 
+def packet_replay(flows, rates, m, dt, packet_size, n_steps):
+    """Per step, the Söze flows whose packet count crosses an integer, with
+    the exponent ``min(m * whole, 1)`` each updates with, replayed in
+    Python floats at constant rates: a started flow adds
+    ``dt * rate / packet_size`` per step until it stops, and a flow whose
+    count reaches ``whole >= 1`` packets updates and keeps the fraction."""
+    start = [max(0, round(f.start_time / dt)) for f in flows]
+    stop = [None if f.stop_time is None else max(0, round(f.stop_time / dt))
+            for f in flows]
+    count, out = {}, {}
+    for k in range(n_steps):
+        for j, f in enumerate(flows):
+            if f.controller == "soze" and start[j] == k:
+                count[j] = 0.0
+            if stop[j] == k:
+                count.pop(j, None)
+        for j in count:
+            count[j] += dt * rates[j] / packet_size
+            whole = math.floor(count[j])
+            if whole >= 1:
+                count[j] -= whole
+                out.setdefault(k, {})[j] = min(m * whole, 1.0)
+    return out
+
+
+def test_per_packet_updates_follow_each_flows_packet_count(monkeypatch):
+    """Under per_packet every flow's packet counter advances in one array
+    step (stopped and unstarted flows add 0; AIMD counters are never read).
+    With the ratio pinned at 1, each Söze flow updates exactly on the steps
+    where its own packet count crosses an integer, with exponent
+    ``min(m * whole, 1)``, also after a Söze flow stops mid-run, and the
+    AIMD flows beside them keep their RTT gate."""
+    dt = 0.1e-6
+    topo = single_link(prop_delay=0.27e-6)   # base RTT 0.54 us
+    flows = [
+        flow_on_link("s0", initial_rate=7e9),
+        flow_on_link("s1", initial_rate=13.3e9, start_time=1.37e-6),
+        flow_on_link("s2", initial_rate=97e9, start_time=3.01e-6,
+                     stop_time=40.55e-6),
+        flow_on_link("a0", controller="aimd"),
+        flow_on_link("a1", controller="aimd", start_time=2.26e-6),
+    ]
+    cfg = SimConfig(dt=dt, end_time=100e-6, control=ControlParams(m=0.25),
+                    update_mode="per_packet", sampling_interval=37 * dt)
+    eng = FluidSimulation(topo, flows, cfg)
+    step, soze, aimd = [None], {}, {}
+
+    def signals(t, filled):
+        step[0] = filled - 1
+        return np.arange(len(flows), dtype=float)   # each signal names its flow
+
+    def ratio(s, delay, params, m=None):
+        soze[step[0]] = dict(zip(delay.astype(int).tolist(), m.tolist()))
+        return np.ones_like(s)
+
+    def window(cwnd, signal, config):
+        aimd.setdefault(step[0], set()).update(int(x) for x in signal)
+        return cwnd
+
+    eng._signals = signals
+    monkeypatch.setattr(fluid, "update_ratio", ratio)
+    monkeypatch.setattr(fluid, "aimd_window", window)
+    eng.run()
+    expected = packet_replay(flows, eng.init_rates.tolist(), 0.25, dt,
+                             cfg.packet_size, eng.n_steps)
+    assert soze == expected
+    last_s2 = max(k for k, due in soze.items() if 2 in due)
+    assert last_s2 < round(flows[2].stop_time / dt) < max(soze)
+    # s2 sends more than a packet per step, so some steps count two
+    assert any(0.5 in due.values() for due in soze.values())
+    gated = gate_replay(flows[3:], eng.gate[3:], dt, eng.n_steps)
+    assert aimd == {k: {j + 3 for j in due} for k, due in gated.items()}
+
+
 def latest_root_signals(hist, routes, rtt, eligible, t, filled, dt):
     """Queue-lag maxQD per flow by brute force over the full queue history
     ``hist`` (row k: queues after step k): ``G`` at every row, the last row
@@ -703,6 +779,26 @@ def test_queue_lag_history_does_not_grow_with_end_time():
     assert rows[0] == rows[1] == rows[2] < 60e-6 / cfg.dt
 
 
+def test_queue_lag_ring_growth_leaves_the_run_unchanged():
+    """Each step integrates the queues in place into its row of the history
+    ring: a queue-lag run whose ring doubles mid-run gives the same trace,
+    bit for bit, as the same run on a ring preset to one row per step."""
+    topo, flows = rtt_per_flow()
+    cfg = SimConfig(dt=0.2e-6, end_time=100e-6, control=ControlParams(),
+                    sampling_interval=0.2e-6,
+                    signal_delay_mode="propagation_plus_queue")
+    growing = FluidSimulation(topo, flows, cfg)
+    first_ring = growing._hist_rows
+    grown = growing.run()
+    full = FluidSimulation(topo, flows, cfg)
+    full._hist_rows = full.n_steps + 1
+    reference = full.run()
+    assert first_ring < growing._hist_rows < full.n_steps + 1
+    assert grown.queue_delays.max() > 0.0 and len(np.unique(grown.rates)) > 10
+    for name in ("times", "rates", "signals", "queue_delays"):
+        assert np.array_equal(getattr(grown, name), getattr(reference, name))
+
+
 # -- end-to-end equilibria ----------------------------------------------------
 
 def test_single_flow_saturates_and_hits_base_delay():
@@ -728,12 +824,18 @@ def test_four_equal_flows_quarter_split():
     )
 
 
+def rates_at(trace, t):
+    """Per-flow rates at the sample nearest to (and not after) ``t``."""
+    idx = max(int(np.searchsorted(trace.times, t + 1e-15, side="right")) - 1, 0)
+    return {fid: float(trace.rates[idx, i]) for i, fid in enumerate(trace.flow_ids)}
+
+
 def test_two_switch_maxmin_rates():
     topo = two_switch()
     flows = two_switch_flows(w1=1.0)
     cfg = SimConfig(dt=0.2e-6, end_time=1.5e-3, control=ControlParams())
     trace = run(topo, flows, cfg)
-    final = trace.rates_at(trace.times[-1])
+    final = rates_at(trace, trace.times[-1])
     assert final["x1"] == pytest.approx(40e9, rel=2e-3)
     for fid in ("x2", "x3", "x4", "x5", "x6"):
         assert final[fid] == pytest.approx(20e9, rel=2e-3)
@@ -919,9 +1021,9 @@ def test_flow_stop_releases_bandwidth():
     control = default_params(rate_cap=120e9)
     cfg = SimConfig(dt=0.125e-6, end_time=1.5e-3, control=control)
     trace = run(topo, flows, cfg)
-    mid = trace.rates_at(0.7e-3)
+    mid = rates_at(trace, 0.7e-3)
     assert mid["stay"] == pytest.approx(50e9, rel=5e-3)
-    end = trace.rates_at(trace.times[-1])
+    end = rates_at(trace, trace.times[-1])
     assert end["leave"] == 0.0
     assert end["stay"] == pytest.approx(100e9, rel=5e-3)
     kinds = [(e.kind, e.flow_id) for e in trace.events]
@@ -934,7 +1036,7 @@ def test_per_packet_mode_converges():
     cfg = SimConfig(dt=0.125e-6, end_time=0.6e-3, control=ControlParams(),
                     update_mode="per_packet", packet_size=8000.0)
     trace = run(topo, flows, cfg)
-    final = trace.rates_at(trace.times[-1])
+    final = rates_at(trace, trace.times[-1])
     assert final["f0"] == pytest.approx(25e9, rel=5e-3)
     assert final["f1"] == pytest.approx(75e9, rel=5e-3)
 
@@ -947,8 +1049,8 @@ def test_weight_change_moves_equilibrium():
     ]
     cfg = SimConfig(dt=0.125e-6, end_time=1.5e-3, control=ControlParams())
     trace = run(topo, flows, cfg)
-    before = trace.rates_at(0.7e-3)
-    after = trace.rates_at(trace.times[-1])
+    before = rates_at(trace, 0.7e-3)
+    after = rates_at(trace, trace.times[-1])
     assert before["w"] == pytest.approx(50e9, rel=5e-3)
     assert after["w"] == pytest.approx(200e9 / 3, rel=5e-3)
     assert after["v"] == pytest.approx(100e9 / 3, rel=5e-3)

@@ -11,7 +11,6 @@ from soze_sim import (
     SimConfig,
     Trace,
     convergence_time,
-    mean_rates,
     run,
     target_delay,
     target_delay_error,
@@ -22,7 +21,7 @@ from soze_sim.fluid import TraceEvent
 from soze_sim.metrics import _settle_time
 from soze_sim.oracle import AllocationResult
 
-from conftest import default_params, flow_on_link, single_link
+from conftest import default_params, flow_on_link, mean_rates, single_link
 
 
 def synthetic_trace(rate_series: dict[str, np.ndarray], dt: float = 1e-6,

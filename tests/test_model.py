@@ -162,7 +162,8 @@ def test_two_switch_scenario_topology():
     switches = [n for n in topo.nodes if n.startswith("s")]
     assert len(hosts) == 6 and len(switches) == 2
     # two 100 Gbps contention links present, both directions of each cable
-    assert "s1->s2" in topo.link_by_id and "s2->h6" in topo.link_by_id
+    link_ids = {l.id for l in topo.links}
+    assert "s1->s2" in link_ids and "s2->h6" in link_ids
     assert len(topo.links) == 14
 
 
@@ -215,10 +216,11 @@ def test_fat_tree_interpod_routes_are_six_links():
 def test_routes_are_connected_paths():
     topo = fat_tree(4, 100e9, 1e-6)
     hosts = hosts_of(topo)
+    link = {l.id: l for l in topo.links}
     for i, src in enumerate(hosts[:6]):
         dst = hosts[(i + 7) % len(hosts)]
         route = route_flow(topo, src, dst, seed=3, flow_id=f"f{i}")
-        links = [topo.link_by_id[lid] for lid in route]
+        links = [link[lid] for lid in route]
         assert links[0].src == src and links[-1].dst == dst
         for a, b in zip(links, links[1:]):
             assert a.dst == b.src
@@ -250,7 +252,7 @@ def test_fat_tree_parse_searches_each_destination_once(monkeypatch):
 
     monkeypatch.setattr(model, "_hops_to", counting)
     scenario = load_scenario(scenario_path("fat_tree_random"))
-    link = scenario.topology.link_by_id
+    link = {l.id: l for l in scenario.topology.links}
     destinations = {link[f.route[-1]].dst for f in scenario.flows}
     assert len(scenario.flows) > len(destinations)
     assert sorted(searched) == sorted(destinations)

@@ -74,13 +74,14 @@ def brute_force_fill(topology, flows, weights, step=0.01e9):
     rate-per-weight increments until each hits a full link."""
     rates = {f.id: 0.0 for f in flows}
     load = {l.id: 0.0 for l in topology.links}
+    link = {l.id: l for l in topology.links}
     frozen: set[str] = set()
     while len(frozen) < len(flows):
         for f in flows:
             if f.id in frozen:
                 continue
             inc = weights[f.id] * step
-            if all(load[lid] + inc <= topology.link_by_id[lid].bandwidth + 1e-3
+            if all(load[lid] + inc <= link[lid].bandwidth + 1e-3
                    for lid in f.route):
                 rates[f.id] += inc
                 for lid in f.route:
