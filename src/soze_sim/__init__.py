@@ -19,8 +19,6 @@ from .fluid import (
 from .metrics import (
     ConvergenceReport,
     convergence_time,
-    target_delay_error,
-    utilization,
 )
 from .model import (
     FlowSpec,
@@ -71,9 +69,7 @@ __all__ = [
     "scenario_from_dict",
     "star",
     "target_delay",
-    "target_delay_error",
     "update_ratio",
-    "utilization",
     "verify_goal_equivalence",
     "water_fill",
 ]

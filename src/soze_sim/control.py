@@ -117,7 +117,8 @@ def update_ratio(s, delay, params: ControlParams, m=None):
     params._require_range()
     out = _update_ratio(s_arr, np.asarray(delay, dtype=float), params,
                         params.m if m is None else m)
-    return float(out) if s_arr.ndim == 0 else out
+    # s and delay broadcast, so the result's shape decides
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,13 @@ With ``fixed_rtt`` a flow's key is its distinct base RTT, its constant lag.
 A read has at most min(distinct base RTTs x links, route hops) pairs, so it
 costs O(route hops + links) on any mix of base RTTs, and a ring of
 ``ceil(max base RTT / dt) + 3`` rows (at most ``n_steps + 1``) suffices:
-memory does not grow with ``end_time``.
+memory does not grow with ``end_time``.  The row step of the read at step
+``k`` depends on ``k`` alone (``t = (k + 1) * dt``, every row up to
+``k + 1`` filled, constant lags, a ring that never grows), so the engine
+computes it ahead in one array call for a chunk of steps: a table of ring
+offsets and weights of at most ``_TABLE_CELLS`` (step, key) cells, refilled
+when a read passes its end, whose size is bounded in run length and in
+flow count.  A read looks its row up and goes straight to the gather.
 
 With ``propagation_plus_queue`` a flow's key is the flow, so its pairs are
 its route hops.  A signal read at ``t`` was emitted at the latest time
@@ -183,6 +189,9 @@ class Trace:
 
 
 _CSV_BLOCK_CELLS = 1 << 15
+# (step, read key) cells in one chunk of the fixed_rtt row-step table: 96 KiB,
+# small beside a run's peak memory, and refilled too rarely to show in its time
+_TABLE_CELLS = 1 << 12
 
 
 @contextlib.contextmanager
@@ -353,16 +362,20 @@ class FluidSimulation:
 
     # -- signal delivery ---------------------------------------------------
 
-    def _read_rows(self, t: float, filled: int):
+    def _read_rows(self, t, filled):
         """The row step of a read at ``t`` over the history up to row
         ``filled``: per read key, its history rows ``(i0, i1)`` stacked as a
-        ``(2, keys)`` array, and the interpolation weight of ``i1``."""
+        ``(2, keys)`` array, and the interpolation weight of ``i1``.
+
+        Under ``fixed_rtt``, ``t`` and ``filled`` may also be columns of
+        ``S`` reads, which give ``(S, 2, keys)`` rows and ``(S, keys)``
+        weights."""
         if self._queue_lag:
             return self._emission_rows(t, filled)
         pos = np.minimum(np.maximum((t - self._lags) / self.config.dt, 0.0),
-                         float(filled))
+                         filled)
         i0 = pos.astype(np.intp)    # pos >= 0, so this is floor
-        return np.minimum(i0 + _NEXT_ROW, filled), pos - i0
+        return np.stack((i0, np.minimum(i0 + 1, filled)), axis=-2), pos - i0
 
     def _emission_rows(self, t: float, filled: int):
         """Each flow's queue-lag emission point for a read at ``t``, searched
@@ -391,11 +404,26 @@ class FluidSimulation:
         rows = self._oldest + np.minimum(last + _NEXT_ROW, kept - 1)
         return np.maximum(rows, 0), frac
 
+    def _fill_table(self, filled: int) -> None:
+        """Tabulate the ``fixed_rtt`` row steps of the reads of steps
+        ``filled - 1`` on, for as many steps as ``_TABLE_CELLS`` (step, key)
+        cells hold (at least one, at most to the run's end): their rows as
+        offsets into the ring, which never grows, and their weights."""
+        steps = max(1, _TABLE_CELLS // len(self._lags))
+        col = np.arange(filled, min(filled + steps, self.n_steps + 1))[:, None]
+        # a read with filled = k + 1 is at t = (k + 1) * dt, as in run
+        rows, self._table_frac = self._read_rows(col * self.config.dt, col)
+        self._table_flat = rows % self._hist_rows * self._hist.shape[1]
+        self._table_first = filled
+
     def _route_max(self, rows: np.ndarray, frac: np.ndarray) -> np.ndarray:
         """Per flow, the largest queue on its route: each (key, link) pair is
         interpolated once between its key's history rows ``rows`` with
         weight ``frac``, then each flow takes the max over its hops."""
-        flat = rows % self._hist_rows * self._hist.shape[1]
+        return self._gather(rows % self._hist_rows * self._hist.shape[1], frac)
+
+    def _gather(self, flat: np.ndarray, frac: np.ndarray) -> np.ndarray:
+        """``_route_max`` from the rows' offsets ``flat`` into the ring."""
         lohi = self._hist.take(flat.take(self._pair_key, axis=1) + self._pair_link)
         frac = frac.take(self._pair_key)
         pairs = lohi[0] * (1.0 - frac) + lohi[1] * frac
@@ -415,12 +443,19 @@ class FluidSimulation:
         self._hist_rows = ring
 
     def _signals(self, t: float, filled: int) -> np.ndarray:
-        """Every flow's signal at ``t``; a queue-lag read also drops the
-        rows that no later read can need."""
-        rows, frac = self._read_rows(t, filled)
+        """Every flow's signal at ``t``, the time of step ``filled``.  A
+        ``fixed_rtt`` read looks its row step up in the table; a queue-lag
+        read solves it and drops the rows that no later read can need."""
         if self._queue_lag:
+            rows, frac = self._read_rows(t, filled)
             self._oldest = int(np.minimum.reduce(rows[0]))
-        sig = self._route_max(rows, frac)
+            sig = self._route_max(rows, frac)
+        else:
+            i = filled - self._table_first
+            if i >= len(self._table_frac):
+                self._fill_table(filled)
+                i = 0
+            sig = self._gather(self._table_flat[i], self._table_frac[i])
         # no feedback before the first ACK returns
         if t < self._last_ack:
             sig[t < self._eligible_from] = 0.0
@@ -496,6 +531,8 @@ class FluidSimulation:
             # G per kept row and flow, cached up to row _g_next - 1
             self._lag_g = np.empty((self._hist_rows, nf))
             self._g_next = 0
+        else:
+            self._fill_table(1)     # from the read of step 0 on
         self._eligible_from = self.base_rtt + np.array(
             [f.start_time for f in self.flows]
         )

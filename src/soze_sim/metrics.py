@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlParams, target_delay
 from .fluid import Trace
 from .oracle import AllocationResult
 
@@ -118,8 +117,7 @@ def convergence_time(
 
     steady_lo = int(np.searchsorted(times, times[-1] - win_dur - 1e-15, "left"))
     steady = slice(lo + steady_lo, hi)
-    util = {lid: _link_utilization(trace, steady, lid, on_link[lid])
-            for lid in trace.link_ids}
+    util = _utilization(trace, steady, on_link)
     # one contiguous row per flow, so each row reduces as its own series would
     series = np.ascontiguousarray(trace.rates[steady][:, [col[f] for f in flow_ids]].T)
     mean = series.mean(axis=1)
@@ -150,42 +148,24 @@ def _settle_time(times: np.ndarray, errs: np.ndarray, after: float,
     return float(times[first + hits[0]]) - after if hits.size else None
 
 
-def _link_utilization(trace: Trace, rows: slice, link: str,
-                      fidx: list[int]) -> float:
-    """Mean offered load / bandwidth on ``link`` over the trace ``rows``;
-    ``fidx`` are the columns of the flows that cross it."""
-    if not fidx:
-        return 0.0
-    total = trace.rates[rows, fidx].sum(axis=1)
-    return float((total / trace.bandwidths[link]).mean())
+def _utilization(trace: Trace, rows: slice,
+                 on_link: dict[str, list[int]]) -> dict[str, float]:
+    """Per link, the mean offered load / bandwidth over the trace ``rows``;
+    ``on_link`` maps each link to the columns of the flows that cross it.
 
-
-def utilization(trace: Trace, link: str, window: tuple[float, float]) -> float:
-    """Mean offered load / bandwidth on ``link`` over the time window.
-
-    May exceed 1 transiently: arrivals above capacity are what grow the
-    queue.
-    """
-    if link not in trace.link_ids:
-        raise ValueError(f"unknown link {link!r}")
-    lo, hi = _slice(trace, window[0], window[1])
-    return _link_utilization(trace, slice(lo, hi), link, _columns(trace)[1][link])
-
-
-def target_delay_error(
-    trace: Trace,
-    link: str,
-    expected_wfs: float,
-    params: ControlParams,
-    window: tuple[float, float],
-) -> float:
-    """Relative gap between the link's mean queue delay and the target
-    delay implied by the expected weighted fair share."""
-    if link not in trace.link_ids:
-        raise ValueError(f"unknown link {link!r}")
-    expected = target_delay(expected_wfs, params)
-    if expected <= 0:
-        raise ValueError("expected target delay is zero")
-    lo, hi = _slice(trace, window[0], window[1])
-    mean_delay = float(trace.queue_delays[lo:hi, trace.link_index(link)].mean())
-    return abs(mean_delay - expected) / expected
+    Links that carry the same number of flows reduce together, in the
+    order one link alone would: numpy lays each link's gathered flows out
+    as it lays out ``rates[rows, cols]``, so the sum over them adds alike,
+    and each link's mean runs over one contiguous row, as a 1-D mean does."""
+    util = dict.fromkeys(trace.link_ids, 0.0)
+    groups: dict[int, list[str]] = {}
+    for lid in trace.link_ids:
+        if on_link[lid]:
+            groups.setdefault(len(on_link[lid]), []).append(lid)
+    rates = trace.rates[rows]
+    for links in groups.values():
+        total = rates[:, [on_link[lid] for lid in links]].sum(axis=2)
+        bw = np.array([trace.bandwidths[lid] for lid in links])
+        mean = np.ascontiguousarray((total / bw).T).mean(axis=1)
+        util.update(zip(links, mean.tolist()))
+    return util

@@ -6,8 +6,15 @@ import os
 
 import pytest
 
-from soze_sim import ControlParams, FlowSpec, SimConfig, Topology, build_topology
-from soze_sim.metrics import _slice
+from soze_sim import (
+    ControlParams,
+    FlowSpec,
+    SimConfig,
+    Topology,
+    build_topology,
+    target_delay,
+)
+from soze_sim.metrics import _columns, _slice
 
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "soze_sim", "scenarios"
@@ -72,6 +79,39 @@ def mean_rates(trace, window: tuple[float, float]) -> dict[str, float]:
     lo, hi = _slice(trace, window[0], window[1])
     return {fid: float(trace.rates[lo:hi, i].mean())
             for i, fid in enumerate(trace.flow_ids)}
+
+
+def utilization(trace, link: str, window: tuple[float, float]) -> float:
+    """Mean offered load / bandwidth on ``link`` over the time window, one
+    link at a time: the per-link definition that the convergence report's
+    batched utilization must reproduce bit for bit.
+
+    May exceed 1 transiently: arrivals above capacity are what grow the
+    queue.
+    """
+    if link not in trace.link_ids:
+        raise ValueError(f"unknown link {link!r}")
+    lo, hi = _slice(trace, window[0], window[1])
+    fidx = _columns(trace)[1][link]
+    if not fidx:
+        return 0.0
+    total = trace.rates[lo:hi, fidx].sum(axis=1)
+    return float((total / trace.bandwidths[link]).mean())
+
+
+def target_delay_error(trace, link: str, expected_wfs: float,
+                       params: ControlParams,
+                       window: tuple[float, float]) -> float:
+    """Relative gap between the link's mean queue delay and the target
+    delay implied by the expected weighted fair share."""
+    if link not in trace.link_ids:
+        raise ValueError(f"unknown link {link!r}")
+    expected = target_delay(expected_wfs, params)
+    if expected <= 0:
+        raise ValueError("expected target delay is zero")
+    lo, hi = _slice(trace, window[0], window[1])
+    mean_delay = float(trace.queue_delays[lo:hi, trace.link_index(link)].mean())
+    return abs(mean_delay - expected) / expected
 
 
 def quick_sim(dt: float = 0.125e-6, end: float = 1.5e-3, **kw) -> SimConfig:

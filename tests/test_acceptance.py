@@ -18,14 +18,12 @@ from soze_sim import (
     fairness_error,
     load_scenario,
     target_delay,
-    target_delay_error,
-    utilization,
     verify_goal_equivalence,
     water_fill,
 )
 from soze_sim.cli import epoch_allocations
 
-from conftest import mean_rates, scenario_path
+from conftest import mean_rates, scenario_path, target_delay_error, utilization
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

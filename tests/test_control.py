@@ -124,6 +124,23 @@ def test_update_ratio_vectorizes():
     assert type(update_ratio(np.array(10e9), np.array(9e-6), P)) is float
 
 
+@pytest.mark.parametrize("s, delay", [
+    pytest.param(1e9, np.array([1e-6, 2e-6]), id="scalar_s_delay_array"),
+    pytest.param(np.array([1e9, 2e9]), 1e-6, id="s_array_scalar_delay"),
+])
+def test_update_ratio_broadcasts_a_scalar_operand(s, delay):
+    """A scalar ``s`` with per-flow delays, or the reverse, gives the array
+    of the elementwise scalar ratios: the result's shape, not ``s``'s,
+    decides between float and array."""
+    params = ControlParams(alpha=100e9, beta=0.1e9)
+    out = update_ratio(s, delay, params)
+    pairs = np.broadcast_arrays(s, delay)
+    expected = [update_ratio(float(a), float(d), params)
+                for a, d in zip(*pairs)]
+    assert isinstance(out, np.ndarray) and out.shape == (2,)
+    assert out.tolist() == pytest.approx(expected, rel=1e-15)
+
+
 EXPONENTS = (0.25, 0.5, 1.0, 2.0, 2.5)   # numpy special-cases some
 
 

@@ -446,6 +446,89 @@ def test_signals_equal_full_history_reference(build, n_rtts):
             assert eng.deliver_signal(f.id, t) == ref[j]
 
 
+def scenario_case(name, *sets):
+    def build():
+        sc = load_scenario(scenario_path(name), sets)
+        return sc.topology, sc.flows, sc.sim
+    return build
+
+
+def rtt_per_flow_case():
+    topo, flows = rtt_per_flow()
+    return topo, flows, SimConfig(dt=0.2e-6, end_time=100e-6,
+                                  control=ControlParams())
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(rtt_per_flow_case, id="rtt_per_flow"),
+    pytest.param(scenario_case("lemma2_boundary",
+                               "topology.links.0.prop_delay=0.0"),
+                 id="lemma2_boundary_zero_lag"),
+    pytest.param(scenario_case("weighted_split", "sim.update_mode=per_packet",
+                               "sim.end_time=0.4e-3"),
+                 id="weighted_split_per_packet"),
+    pytest.param(scenario_case("step_in_out", "flows.2.controller=aimd",
+                               "sim.end_time=1.6e-3"),
+                 id="soze_aimd_mix"),
+])
+def test_row_table_equals_per_read_row_steps(build, monkeypatch):
+    """``fixed_rtt`` reads look their row step up in a table filled chunk
+    by chunk; with a cell budget that puts chunk edges on odd steps, the
+    trace is bit for bit that of the same run whose every read solves its
+    row step afresh with ``_read_rows`` and ``_route_max``."""
+    topo, flows, cfg = build()
+    assert cfg.signal_delay_mode == "fixed_rtt"
+    table = FluidSimulation(topo, flows, cfg)
+    per_read = FluidSimulation(topo, flows, cfg)
+    keys = len(table._lags)
+    monkeypatch.setattr(fluid, "_TABLE_CELLS", 7 * keys + keys - 1)
+    fills, fill = [], table._fill_table
+
+    def record(filled):
+        fill(filled)
+        fills.append((filled, len(table._table_frac)))
+
+    def signals(t, filled):
+        sig = per_read._route_max(*per_read._read_rows(t, filled))
+        sig[t < per_read._eligible_from] = 0.0
+        return sig
+
+    table._fill_table = record
+    per_read._signals = signals
+    got, ref = table.run(), per_read.run()
+    # chunks of 7 steps: some end after an odd step
+    assert len(fills) > 10 and any((first + n) % 2 for first, n in fills)
+    assert all(n == 7 for _, n in fills[:-1])
+    assert ref.signals.any()
+    for name in ("times", "rates", "signals", "queue_delays"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for f in flows:
+        t = got.times[-1]
+        assert table.deliver_signal(f.id, t) == per_read.deliver_signal(f.id, t)
+
+
+def test_row_table_does_not_grow_with_end_time(monkeypatch):
+    """The table holds the row steps of at most ``_TABLE_CELLS`` (step, key)
+    cells, one key per flow here, however long the run."""
+    topo, flows = rtt_per_flow()
+    monkeypatch.setattr(fluid, "_TABLE_CELLS", 600)   # 100 steps of 6 keys
+    largest = []
+    for end in (60e-6, 300e-6, 1200e-6):
+        cfg = SimConfig(dt=0.2e-6, end_time=end, control=ControlParams())
+        eng = FluidSimulation(topo, flows, cfg)
+        cells, fill = [], eng._fill_table
+
+        def record(filled):
+            fill(filled)
+            cells.append(eng._table_frac.size)
+
+        eng._fill_table = record
+        eng.run()
+        assert len(cells) > 1
+        largest.append(max(cells))
+    assert largest == [600, 600, 600]
+
+
 def test_first_step_queue_matches_dense_incidence_product():
     topo = fat_tree(4, 100e9, 0.5e-6)
     hosts = hosts_of(topo)

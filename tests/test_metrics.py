@@ -13,15 +13,20 @@ from soze_sim import (
     convergence_time,
     run,
     target_delay,
-    target_delay_error,
-    utilization,
     water_fill,
 )
 from soze_sim.fluid import TraceEvent
 from soze_sim.metrics import _settle_time
 from soze_sim.oracle import AllocationResult
 
-from conftest import default_params, flow_on_link, mean_rates, single_link
+from conftest import (
+    default_params,
+    flow_on_link,
+    mean_rates,
+    single_link,
+    target_delay_error,
+    utilization,
+)
 
 
 def synthetic_trace(rate_series: dict[str, np.ndarray], dt: float = 1e-6,
@@ -141,6 +146,38 @@ def test_utilization_matches_the_convergence_report():
     rep = convergence_time(tr, allocation(rates))
     steady = (tr.times[-1] - 20 * 1e-6, tr.times[-1])
     assert rep.utilization["l"] == utilization(tr, "l", steady)
+
+
+def test_batched_utilization_equals_the_per_link_sums():
+    """The report reduces the links that carry equally many flows together;
+    every link, idle or shared by up to 40 flows, gets exactly the per-link
+    mean, in link order."""
+    rng = np.random.default_rng(8)
+    n_flows, n_links, samples = 40, 9, 300
+    links = tuple(f"l{i}" for i in range(n_links))
+    # l0 carries every flow, l8 none; l1..l6 carry 12 to 15 flows each
+    # (three of them 13), l7 every fifth flow
+    routes = {f"f{j}": ("l0", f"l{1 + j % 3}", f"l{4 + j // 3 % 3}")
+              + (("l7",) if j % 5 == 0 else ()) for j in range(n_flows)}
+    # rates over five decades, so the order of each sum shows in its bits
+    rates = 10.0 ** rng.uniform(6.0, 11.0, (samples, n_flows))
+    fids = tuple(routes)
+    tr = Trace(
+        times=np.arange(samples) * 1e-6, flow_ids=fids, link_ids=links,
+        rates=rates, signals=np.zeros_like(rates),
+        queue_delays=np.zeros((samples, n_links)), events=(), routes=routes,
+        base_rtts=dict.fromkeys(fids, 1e-6),
+        bandwidths={lid: 100e9 + 7e9 * i for i, lid in enumerate(links)},
+        control_intervals=dict.fromkeys(fids, 1e-6), sampling_interval=1e-6,
+    )
+    counts = [sum(lid in r for r in routes.values()) for lid in links]
+    assert len(set(counts)) < n_links and counts[0] == n_flows and counts[-1] == 0
+    rep = convergence_time(tr, allocation(dict.fromkeys(fids, 5e9)),
+                           window=200)
+    steady = (tr.times[-1] - 200 * 1e-6, tr.times[-1])
+    assert list(rep.utilization) == list(links)
+    assert rep.utilization == {lid: utilization(tr, lid, steady) for lid in links}
+    assert rep.utilization["l8"] == 0.0
 
 
 def test_four_flow_utilization_at_least_99_percent():
