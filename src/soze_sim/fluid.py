@@ -74,6 +74,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .baselines import AimdConfig, aimd_window
 # inverse_target stays a module attribute so profilers can wrap it by name
@@ -163,7 +164,9 @@ class Trace:
         reads back as the same float, so equal runs produce byte-identical
         files (``-0.0``, ``nan`` and ``inf`` included).  Rows are formatted
         in blocks of about ``_CSV_BLOCK_CELLS`` values, each distinct bit
-        pattern of a block formatted once, and streamed to the file.
+        pattern of a block formatted once by ``_float_texts`` (orjson's
+        shortest round-trip digits, edited into ``repr``'s notation), and
+        streamed to the file.
         """
         header = ["time_s"]
         header += [f"flow_{fid}_rate_bps" for fid in self.flow_ids]
@@ -181,9 +184,7 @@ class Trace:
                 bits, inverse = np.unique(
                     block.ravel().view(np.int64), return_inverse=True
                 )
-                text = np.array(
-                    [repr(x) for x in bits.view(np.float64).tolist()], dtype=object
-                )
+                text = _float_texts(bits.view(np.float64))
                 rows = text.take(inverse).reshape(-1, width).tolist()
                 fh.writelines(",".join(r) + "\n" for r in rows)
 
@@ -192,6 +193,54 @@ _CSV_BLOCK_CELLS = 1 << 15
 # (step, read key) cells in one chunk of the fixed_rtt row-step table: 96 KiB,
 # small beside a run's peak memory, and refilled too rarely to show in its time
 _TABLE_CELLS = 1 << 12
+
+
+# abs(x) band edges for _float_texts, and per band the bytes.replace edits
+# that turn orjson's text of a finite float in that band into repr's; past
+# the last edge (inf, and nan, which sorts after every edge) repr is used
+_BAND_EDGES = np.array([1e-9, 1e-5, 1e-4, 1e16, math.inf])
+_BAND_EDITS = (
+    (),                                         # [0, 1e-9): same text
+    ((b"e-", b"e-0"),),                         # 1.5e-6 -> 1.5e-06
+    tuple((b"0.0000%d" % d, b"%d." % d) for d in range(1, 10))
+    + ((b",", b"e-05,"), (b".e", b"e")),        # 0.000015 -> 1.5e-05
+    (),                                         # [1e-4, 1e16): same text
+    ((b"e", b"e+"),),                           # 1e16 -> 1e+16
+)
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """An object array equal to ``[repr(x) for x in values]`` for a 1-D
+    float64 array, made with one ``orjson.dumps`` call per band of abs(x).
+
+    orjson (Ryu) writes the same shortest round-trip digits as ``repr``,
+    and in each band of abs(x) one notation, which the band's edits turn
+    into ``repr``'s:
+
+    - [0, 1e-9) and [1e-4, 1e16): the same text (``1e-10``, ``0.0001``,
+      ``1000000000000000.0``);
+    - [1e-9, 1e-5): no leading zero in the exponent, ``1.5e-6`` for
+      ``1.5e-06``;
+    - [1e-5, 1e-4): a fixed decimal, ``0.000015`` for ``1.5e-05``;
+    - [1e16, inf): no sign in the exponent, ``1e16`` for ``1e+16``.
+
+    Each band's text is edited on its own, with a ``,`` after every token,
+    so an edit only ever meets tokens of that band's form.  NaN and +-inf,
+    which orjson writes as ``null``, go through ``repr``.
+    """
+    band = np.searchsorted(_BAND_EDGES, np.abs(values), side="right")
+    out = np.empty(len(values), dtype=object)
+    for b, edits in enumerate(_BAND_EDITS):
+        at = band == b
+        if at.any():
+            text = orjson.dumps(values[at], option=orjson.OPT_SERIALIZE_NUMPY)
+            text = text[1:-1] + b","
+            for old, new in edits:
+                text = text.replace(old, new)
+            out[at] = text.decode().split(",")[:-1]
+    at = band == len(_BAND_EDITS)
+    out[at] = [repr(x) for x in values[at].tolist()]
+    return out
 
 
 @contextlib.contextmanager

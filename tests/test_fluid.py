@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soze_sim import (
     AimdConfig,
@@ -1029,9 +1031,16 @@ def test_csv_matches_row_by_row_writer(tmp_path, nf, nl, rows):
     def values(shape):
         out = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
         flat = out.reshape(-1)
-        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
-                            5e-324, 1.7976931348623157e308,
-                            np.int64(0x7FF8000000000001).view(np.float64)])
+        # each edge of _float_texts' bands with its neighbours, both signs
+        edges = np.array([1e-9, 1e-5, 1e-4, 1e16])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                                np.nextafter(edges, np.inf)])
+        special = np.concatenate([
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+             5e-324, 1.7976931348623157e308,
+             np.int64(0x7FF8000000000001).view(np.float64)],
+            edges, -edges,
+        ])
         at = rng.choice(flat.size, size=min(flat.size, 400), replace=False)
         flat[at] = special[rng.integers(0, len(special), at.size)]
         flat[-1] = 1e9  # values repeat within a block
@@ -1053,6 +1062,15 @@ def test_csv_matches_row_by_row_writer(tmp_path, nf, nl, rows):
     assert got.read_bytes() == ref.read_bytes()
     assert b"-0.0," in got.read_bytes() and b"nan" in got.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["got.csv", "ref.csv"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1, max_size=200))
+def test_float_texts_equal_repr_on_raw_bit_patterns(patterns):
+    """Every float64 bit pattern, NaN payloads and subnormals included,
+    gets exactly ``repr``'s text."""
+    values = np.array(patterns, dtype=np.int64).view(np.float64)
+    assert fluid._float_texts(values).tolist() == [repr(x) for x in values.tolist()]
 
 
 def test_csv_failure_leaves_no_partial_file(tmp_path):

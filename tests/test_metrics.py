@@ -15,6 +15,7 @@ from soze_sim import (
     target_delay,
     water_fill,
 )
+from soze_sim import metrics
 from soze_sim.fluid import TraceEvent
 from soze_sim.metrics import _settle_time
 from soze_sim.oracle import AllocationResult
@@ -178,6 +179,24 @@ def test_batched_utilization_equals_the_per_link_sums():
     assert list(rep.utilization) == list(links)
     assert rep.utilization == {lid: utilization(tr, lid, steady) for lid in links}
     assert rep.utilization["l8"] == 0.0
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40, 1 << 16])
+def test_chunked_fairness_series_equals_the_one_shot_expression(monkeypatch, cells):
+    """Row chunks of any size, over allocated flows listed in another order
+    than the trace's columns, give the one-shot series bit for bit."""
+    monkeypatch.setattr(metrics, "_SERIES_CELLS", cells)
+    rng = np.random.default_rng(11)
+    rates = {f"f{i}": 10.0 ** rng.uniform(6.0, 11.0, 101) for i in range(9)}
+    rates["f4"][::3] = 0.0
+    tr = synthetic_trace(rates)
+    oracle = {f: float(rng.uniform(1e8, 1e10)) for f in ("f7", "f2", "f5", "f0")}
+    col = {fid: i for i, fid in enumerate(tr.flow_ids)}
+    idx = [col[f] for f in oracle]
+    want = np.max(np.abs(tr.rates[5:97, idx] - np.array(list(oracle.values())))
+                  / np.array(list(oracle.values())), axis=1)
+    got = metrics._fairness_series(tr, allocation(oracle), 5, 97, col)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_four_flow_utilization_at_least_99_percent():

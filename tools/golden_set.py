@@ -1,8 +1,10 @@
-"""Run the golden set and write one sha256 per output to OUT_DIR/SHA256SUMS.
+"""Run the golden set and write one sha256 per output to OUT_DIR/SHA256SUMS,
+or check the sums against a reference file.
 
 Usage, from the root of a checkout::
 
     PYTHONPATH=src python3 tools/golden_set.py OUT_DIR
+    PYTHONPATH=src python3 tools/golden_set.py --check tools/GOLDEN.sha256
 
 Every command goes through ``soze_sim.cli.main``:
 
@@ -19,8 +21,16 @@ Every command goes through ``soze_sim.cli.main``:
 SHA256SUMS gets one line per trace CSV (its bytes), per summary JSON
 (re-dumped without ``wall_time_s``), per sweep row file (each row without
 ``wall_time_s`` and ``summary_path``) and per command's exit code and
-stdout, with OUT_DIR written as ``OUT``.  To compare two commits, run this
-script against each one's ``src`` and ``diff`` the two SHA256SUMS files.
+stdout, with OUT_DIR written as ``OUT``.  Its first line is a ``#`` header
+naming the Python, numpy and orjson versions the sums were made with.
+
+``--check FILE`` runs the set in a temporary directory, prints every sum
+line that differs from FILE's (``-`` for FILE's, ``+`` for this run's) and
+exits 1 if any does, 0 if none does; ``#`` lines are not compared.  The
+checked-in ``tools/GOLDEN.sha256`` holds the sums of the current outputs.
+Some of them may depend on the host (numpy's SIMD paths), so this is a tool
+check, not a test.  A change that alters output bytes on purpose
+regenerates that file, and the diff shows which outputs moved.
 """
 
 from __future__ import annotations
@@ -30,8 +40,13 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
+import tempfile
 import time
+
+import numpy as np
+import orjson
 
 from soze_sim import cli
 
@@ -95,14 +110,8 @@ def output_sums(out: str, label: str) -> list[tuple[str, str]]:
     return sums
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: PYTHONPATH=src python3 tools/golden_set.py OUT_DIR",
-              file=sys.stderr)
-        return 2
-    out = os.path.abspath(argv[0])
-    os.makedirs(out, exist_ok=True)
-    t0 = time.perf_counter()
+def golden_sums(out: str) -> list[str]:
+    """Run the golden set under ``out``; one ``digest  name`` line per output."""
     sums = []
     for label, scenario, sets in RUNS:
         cmd = ["run", os.path.join(SCENARIOS, f"{scenario}.yaml"),
@@ -120,8 +129,38 @@ def main(argv: list[str]) -> int:
            "--param", param, "--values", values, "--out", os.path.join(out, label)]
     sums.append((sha256(call(cmd, out)), f"{label}/stdout"))
     sums += output_sums(out, label)
+    return [f"{digest}  {name}\n" for digest, name in sums]
+
+
+def check(path: str) -> int:
+    """Print the sum lines that differ from ``path``'s; 1 if any does."""
+    with open(path) as fh:
+        want = [line for line in fh if not line.startswith("#")]
+    with tempfile.TemporaryDirectory() as out:
+        got = golden_sums(out)
+    diff = [f"-{line}" for line in want if line not in got]
+    diff += [f"+{line}" for line in got if line not in want]
+    sys.stdout.writelines(diff)
+    print(f"{len(got)} sums, {len(diff)} lines differ from {path}")
+    return 1 if diff else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--check":
+        return check(argv[1])
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: PYTHONPATH=src python3 tools/golden_set.py OUT_DIR\n"
+              "       PYTHONPATH=src python3 tools/golden_set.py --check FILE",
+              file=sys.stderr)
+        return 2
+    out = os.path.abspath(argv[0])
+    os.makedirs(out, exist_ok=True)
+    t0 = time.perf_counter()
+    sums = golden_sums(out)
     with open(os.path.join(out, "SHA256SUMS"), "w") as fh:
-        fh.writelines(f"{digest}  {name}\n" for digest, name in sums)
+        fh.write(f"# python {platform.python_version()}, numpy {np.__version__}, "
+                 f"orjson {orjson.__version__}\n")
+        fh.writelines(sums)
     print(f"{len(sums)} sums in {time.perf_counter() - t0:.1f} s: "
           f"{os.path.join(out, 'SHA256SUMS')}")
     return 0
