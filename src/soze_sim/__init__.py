@@ -10,16 +10,8 @@ from .control import (
     target_delay,
     update_ratio,
 )
-from .fluid import (
-    FluidSimulation,
-    SimConfig,
-    Trace,
-    run,
-)
-from .metrics import (
-    ConvergenceReport,
-    convergence_time,
-)
+from .fluid import FluidSimulation, SimConfig, Trace
+from .metrics import ConvergenceReport, convergence_time
 from .model import (
     FlowSpec,
     Link,
@@ -28,12 +20,7 @@ from .model import (
     route_flow,
     star,
 )
-from .oracle import (
-    AllocationResult,
-    fairness_error,
-    verify_goal_equivalence,
-    water_fill,
-)
+from .oracle import AllocationResult, water_fill
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -60,17 +47,14 @@ __all__ = [
     "build_topology",
     "check_lemma_conditions",
     "convergence_time",
-    "fairness_error",
     "fat_tree",
     "inverse_target",
     "load_scenario",
     "route_flow",
-    "run",
     "scenario_from_dict",
     "star",
     "target_delay",
     "update_ratio",
-    "verify_goal_equivalence",
     "water_fill",
 ]
 

@@ -71,13 +71,6 @@ def _epoch_boundaries(flows: list[FlowSpec], end_time: float) -> list[float]:
     return sorted(m for m in marks if m < end_time)
 
 
-def _active_flows(flows: list[FlowSpec], t: float) -> list[FlowSpec]:
-    return [
-        f for f in flows
-        if f.start_time <= t and (f.stop_time is None or f.stop_time > t)
-    ]
-
-
 def epoch_allocations(
     scenario: Scenario,
 ) -> list[tuple[float, float, list[FlowSpec], AllocationResult | None]]:
@@ -87,7 +80,8 @@ def epoch_allocations(
     out = []
     for i, t0 in enumerate(bounds):
         t1 = bounds[i + 1] if i + 1 < len(bounds) else end
-        active = _active_flows(scenario.flows, t0)
+        active = [f for f in scenario.flows if f.start_time <= t0
+                  and (f.stop_time is None or f.stop_time > t0)]
         if active:
             weights = {f.id: f.weight_at(t0) for f in active}
             alloc = water_fill(scenario.topology, active, weights)
@@ -155,7 +149,7 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
             "end_time": scenario.sim.end_time,
             "signal_delay_mode": scenario.sim.signal_delay_mode,
             "update_mode": scenario.sim.update_mode,
-            "seed": scenario.sim.seed,
+            "seed": scenario.seed,
             "sampling_interval": trace.sampling_interval,
         },
         "lemma_report": lemma.as_dict(),

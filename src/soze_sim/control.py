@@ -85,7 +85,12 @@ def _positive(s) -> np.ndarray:
 
 
 def target_delay(s, params: ControlParams):
-    """Target queueing delay for rate-per-weight ``s``; decreasing in s."""
+    """Target queueing delay for rate-per-weight ``s``; decreasing in s.
+
+    The paper's forward law.  The engine only needs its inverse, but this
+    is the law as the paper states it, and :func:`inverse_target` is
+    tested against it.
+    """
     alpha, beta = params._require_range()
     s_arr = _positive(s)
     span = math.log(alpha) - math.log(beta)

@@ -107,7 +107,6 @@ class SimConfig:
     signal_delay_mode: str = "fixed_rtt"   # one of SIGNAL_DELAY_MODES
     update_mode: str = "per_rtt"           # one of UPDATE_MODES
     packet_size: float = 8000.0            # bits
-    seed: int = 0
     sampling_interval: float | None = None
     aimd: AimdConfig = AimdConfig()
 
@@ -152,9 +151,6 @@ class Trace:
     bandwidths: dict[str, float] = field(default_factory=dict)
     control_intervals: dict[str, float] = field(default_factory=dict)
     sampling_interval: float = 0.0
-
-    def link_index(self, link_id: str) -> int:
-        return self.link_ids.index(link_id)
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write the trace as CSV: a header, then per sample the time, the
@@ -743,7 +739,3 @@ class FluidSimulation:
             sampling_interval=self.sampling_interval,
         )
 
-
-def run(topology: Topology, flows: Sequence[FlowSpec], config: SimConfig) -> Trace:
-    """Build an engine for (topology, flows, config) and run it to the end."""
-    return FluidSimulation(topology, flows, config).run()

@@ -24,7 +24,8 @@ class ConvergenceReport:
 
     ``convergence_time`` counts from the reference event (by default the
     last event in the examined window); ``convergence_rtts`` is the same in
-    units of the slowest participating flow's base RTT.  Utilization and
+    units of the slowest participating flow's base RTT, and None when that
+    RTT is 0 (no propagation delay on any of the routes).  Utilization and
     oscillation are measured over the trailing steady window.
     """
 
@@ -148,7 +149,8 @@ def convergence_time(
     return ConvergenceReport(
         converged=conv_time is not None,
         convergence_time=conv_time,
-        convergence_rtts=(conv_time / rtt) if conv_time is not None else None,
+        convergence_rtts=(conv_time / rtt
+                          if conv_time is not None and rtt > 0 else None),
         final_fairness_error=float(errs[-1]),
         utilization=util,
         rate_oscillation=osc,

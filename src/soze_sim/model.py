@@ -112,6 +112,7 @@ class FlowSpec:
 
     ``weight_schedule`` is a sequence of (time, weight) pairs; each weight
     takes effect instantaneously at its time and holds until the next entry.
+    ``start_time`` is >= 0: the simulation starts at 0.
     """
 
     id: str
@@ -140,6 +141,8 @@ class FlowSpec:
             raise FlowError(f"flow {self.id!r}: weights must be finite and > 0")
         if not all(map(math.isfinite, (self.start_time, self.stop_time or 0.0))):
             raise FlowError(f"flow {self.id!r}: start and stop times must be finite")
+        if self.start_time < 0:
+            raise FlowError(f"flow {self.id!r}: start time must be >= 0")
         if times[0] > self.start_time:
             raise FlowError(
                 f"flow {self.id!r}: first schedule time {times[0]} is after "

@@ -151,39 +151,3 @@ def water_fill(
         weights=w,
     )
 
-
-def verify_goal_equivalence(
-    rates: Sequence[float],
-    weights: Sequence[float],
-    bandwidth: float,
-    eps: float = 1e-9,
-) -> bool:
-    """Check the two-condition form of the single-link weighted goal.
-
-    True iff the rates saturate the link (|sum - B| <= eps*B) and all
-    rate-per-weight values agree (spread <= eps * mean).  Both together hold
-    exactly when each rate equals weight / total_weight * B.
-    """
-    if len(rates) == 0:
-        raise ValueError("empty flow set")
-    if len(rates) != len(weights):
-        raise ValueError("rates and weights must align")
-    if abs(sum(rates) - bandwidth) > eps * bandwidth:
-        return False
-    s = [r / w for r, w in zip(rates, weights)]
-    mean = sum(s) / len(s)
-    return max(s) - min(s) <= eps * mean
-
-
-def fairness_error(
-    sim_rates: Mapping[str, float], oracle_rates: Mapping[str, float]
-) -> float:
-    """Relative L-infinity distance: max over flows of |sim - oracle| / oracle."""
-    if set(sim_rates) != set(oracle_rates):
-        raise ValueError("flow sets differ between simulation and oracle")
-    worst = 0.0
-    for fid, ref in oracle_rates.items():
-        if ref <= 0:
-            raise ValueError(f"oracle rate for {fid!r} must be > 0")
-        worst = max(worst, abs(sim_rates[fid] - ref) / ref)
-    return worst

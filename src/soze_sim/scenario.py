@@ -36,8 +36,10 @@ nodes and cables::
 Ids and names are non-empty strings; an integer reads as its digits.
 ``name`` (the stem of the default output file names) and the optional
 ``outputs.trace`` and ``outputs.summary`` name files inside the output
-directory, so they hold no ``/``, ``\\`` or ``..``.  A malformed field
-raises ``ScenarioError`` whose message starts with the field's name
+directory, so they hold no ``/``, ``\\`` or ``..``, and the trace and the
+summary name different files.  A flow's or group's ``start`` is a time >= 0
+(the run starts at 0; default 0).  A malformed field raises
+``ScenarioError`` whose message starts with the field's name
 (``flows[0].weight``, ``topology.links[1].bandwidth``), or with the override
 or file it came from; a key that no reader reads is refused the same way
 (``control.pp: unknown key``).  Each object checks its own values when it is
@@ -92,8 +94,10 @@ FLOW_KEYS = ("id", "route", "src", "dst", "weight", "weight_schedule", "start",
 GROUP_KEYS = ("count", "id_prefix", "src", "dst", "weight", "start",
               "start_stagger", "initial_rate", "initial_rate_total", "stop",
               "controller")
+# sim.seed is the reader's: it draws group endpoints and weights and picks
+# among equal-cost routes; the engine has no use for it
 SIM_KEYS = tuple(f.name for f in fields(SimConfig)
-                 if f.name not in ("control", "aimd"))
+                 if f.name not in ("control", "aimd")) + ("seed",)
 
 
 @dataclass
@@ -104,6 +108,7 @@ class Scenario:
     sim: SimConfig
     trace_name: str           # file names inside the output directory
     summary_name: str
+    seed: int = 0             # sim.seed
     require_converged: bool = False
     convergence_eps: float = EPS
     convergence_window: int = WINDOW
@@ -378,7 +383,7 @@ def _topology_section(raw: Mapping) -> Topology:
                  _number(raw, "prop_delay", "topology", 1e-6))
 
 
-def _weight_schedule(entry: Mapping, start: float, path: str):
+def _weight_schedule(entry: Mapping, path: str):
     if "weight_schedule" in entry:
         sched = entry["weight_schedule"]
         where = f"{path}.weight_schedule"
@@ -387,7 +392,7 @@ def _weight_schedule(entry: Mapping, start: float, path: str):
         except (TypeError, ValueError):
             raise ScenarioError(f"{where}: expected [time, weight] pairs")
     w = _number(entry, "weight", path, 1.0)
-    return ((min(0.0, start), w),)
+    return ((0.0, w),)
 
 
 def _resolve_route(
@@ -475,7 +480,7 @@ def _expand_group(
             FlowSpec(
                 id=fid,
                 route=route,
-                weight_schedule=((min(0.0, start), weight),),
+                weight_schedule=((0.0, weight),),
                 start_time=start,
                 stop_time=stop,
                 controller=controller,
@@ -551,7 +556,7 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     _only(sim_raw, SIM_KEYS, "sim")
     ctrl_raw = _section(raw, "control", "")
     aimd_raw = _section(raw, "aimd", "")
-    seed = _integer(sim_raw, "seed", "sim", 0, minimum=0)
+    seed = _integer(sim_raw, "seed", "sim", Scenario.seed, minimum=0)
     default_controller = _text(raw, "default_controller", "", FlowSpec.controller)
     rng = np.random.default_rng(seed)
 
@@ -559,13 +564,12 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     for i, (path, entry) in enumerate(_entries(raw, "flows", "")):
         _only(entry, FLOW_KEYS, path)
         fid = _text(entry, "id", path, f"f{i}")
-        start = _number(entry, "start", path, FlowSpec.start_time)
         with _section_errors(path):
             flow = FlowSpec(
                 id=fid,
                 route=_resolve_route(topology, entry, fid, seed, path),
-                weight_schedule=_weight_schedule(entry, start, path),
-                start_time=start,
+                weight_schedule=_weight_schedule(entry, path),
+                start_time=_number(entry, "start", path, FlowSpec.start_time),
                 stop_time=_number(entry, "stop", path, None),
                 controller=_text(entry, "controller", path, default_controller),
                 initial_rate=_number(entry, "initial_rate", path, None),
@@ -604,7 +608,6 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
                                 SimConfig.update_mode),
             packet_size=_number(sim_raw, "packet_size", "sim",
                                 SimConfig.packet_size),
-            seed=seed,
             sampling_interval=_number(sim_raw, "sampling_interval", "sim", None),
             aimd=aimd,
         )
@@ -612,17 +615,23 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
     eps, window, judge = _convergence_section(_section(raw, "convergence", ""))
     outputs = _section(raw, "outputs", "")
     _only(outputs, ("trace", "summary"), "outputs")
+    trace_name = _file_name(outputs, "trace", "outputs", f"{name}.trace.csv")
+    summary_name = _file_name(outputs, "summary", "outputs",
+                              f"{name}.summary.json")
+    if trace_name == summary_name:
+        raise ScenarioError(
+            f"outputs: trace and summary both name {trace_name!r}")
     return Scenario(
         name=name,
         topology=topology,
         flows=flows,
         sim=sim,
+        trace_name=trace_name,
+        summary_name=summary_name,
+        seed=seed,
         require_converged=require_converged,
         convergence_eps=eps,
         convergence_window=window,
         convergence_judge=judge,
-        trace_name=_file_name(outputs, "trace", "outputs", f"{name}.trace.csv"),
-        summary_name=_file_name(outputs, "summary", "outputs",
-                                f"{name}.summary.json"),
         raw=raw,
     )

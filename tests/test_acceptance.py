@@ -15,15 +15,20 @@ import pytest
 from soze_sim import (
     FluidSimulation,
     convergence_time,
-    fairness_error,
     load_scenario,
     target_delay,
-    verify_goal_equivalence,
     water_fill,
 )
 from soze_sim.cli import epoch_allocations
 
-from conftest import mean_rates, scenario_path, target_delay_error, utilization
+from conftest import (
+    fairness_error,
+    mean_rates,
+    scenario_path,
+    target_delay_error,
+    utilization,
+    verify_goal_equivalence,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -220,7 +225,7 @@ def test_criterion_06_fat_tree_oracle_match(runs):
     tail = trace.queue_delays[trace.times >= 0.8 * end].mean(axis=0)
     matches = 0
     for f in scenario.flows:
-        route_delay = {lid: tail[trace.link_index(lid)] for lid in f.route}
+        route_delay = {lid: tail[trace.link_ids.index(lid)] for lid in f.route}
         if max(route_delay, key=route_delay.get) == alloc.bottlenecks[f.id]:
             matches += 1
     n = len(scenario.flows)

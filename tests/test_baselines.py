@@ -8,8 +8,9 @@ from soze_sim import (
     SimConfig,
     aimd_window,
     build_topology,
-    run,
 )
+
+from conftest import run
 
 
 CFG = AimdConfig(threshold=20e-6, md=0.20, packet_size=8000.0)

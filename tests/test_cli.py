@@ -9,7 +9,7 @@ import yaml
 
 from soze_sim.cli import main
 
-from conftest import mean_rates, scenario_path
+from conftest import mean_rates, run, scenario_path
 
 
 def write_scenario(tmp_path, raw, name="scenario.yaml"):
@@ -69,6 +69,18 @@ def test_malformed_config_exits_2_and_names_field(tmp_out, capsys):
     assert main(["run", path, "--out", tmp_out]) == 2
     err = capsys.readouterr().err
     assert "control" in err and "m" in err
+
+
+def test_zero_base_rtt_converges_without_an_rtt_count(tmp_out):
+    """Zero propagation delay everywhere makes the base RTT 0, so the
+    convergence time has no count in RTTs."""
+    assert main(["run", scenario_path("weighted_split"),
+                 "--set", "topology.links.0.prop_delay=0",
+                 "--set", "control.update_interval=1e-6",
+                 "--out", tmp_out]) == 0
+    with open(os.path.join(tmp_out, "weighted_split.summary.json")) as fh:
+        conv = json.load(fh)["epochs"][0]["convergence"]
+    assert conv["converged"] is True and conv["convergence_rtts"] is None
 
 
 def test_unknown_scenario_file_exits_2(tmp_out, capsys):
@@ -232,6 +244,9 @@ def test_bad_convergence_setting_exits_2_and_names_field(tmp_out, capsys,
     ("flows.0.weight=.inf", "flows[0].weight"),
     ("flows.0.weight_schedule=[[0,1],[.inf,2]]", "schedule times"),
     ("topology.links.0.prop_delay=.nan", "propagation delay"),
+    # finite, but out of range
+    ("flows.0.start=-1e-6", "flows[0]"),
+    ("outputs={trace: x.csv, summary: x.csv}", "outputs"),
 ])
 def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
                                                  field):
@@ -466,7 +481,7 @@ def test_sweep_instance_equals_a_standalone_run(tmp_out, values):
 
 def test_all_aimd_per_packet_runs_as_per_rtt(tmp_out):
     """per_packet gates only Soze flows, so with none it changes nothing."""
-    from soze_sim import load_scenario, run as run_sim
+    from soze_sim import load_scenario
 
     path = scenario_path("single_link_4flows")
     aimd = ["default_controller=aimd"]
@@ -474,7 +489,7 @@ def test_all_aimd_per_packet_runs_as_per_rtt(tmp_out):
     assert main(["run", path, "--set", per_packet[0], "--set", per_packet[1],
                  "--out", tmp_out]) == 0
     packet, rtt = (
-        run_sim(sc.topology, sc.flows, sc.sim)
+        run(sc.topology, sc.flows, sc.sim)
         for sc in (load_scenario(path, per_packet), load_scenario(path, aimd))
     )
     for name in ("times", "rates", "signals", "queue_delays"):
@@ -498,10 +513,10 @@ def test_sweep_unknown_param_exits_2(tmp_out, capsys):
 
 
 def test_builtin_step_in_out_runs(tmp_out):
-    from soze_sim import load_scenario, run as run_sim
+    from soze_sim import load_scenario
 
     sc = load_scenario(scenario_path("step_in_out"))
-    trace = run_sim(sc.topology, sc.flows, sc.sim)
+    trace = run(sc.topology, sc.flows, sc.sim)
     # all three senders active around 1.4ms: equal thirds of the egress
     mid = mean_rates(trace, (1.3e-3, 1.45e-3))
     for fid in ("f0", "f1", "f2"):
@@ -513,10 +528,10 @@ def test_builtin_step_in_out_runs(tmp_out):
 
 
 def test_builtin_granularity_sweep_resolves_per_mille_steps(tmp_out):
-    from soze_sim import load_scenario, run as run_sim
+    from soze_sim import load_scenario
 
     sc = load_scenario(scenario_path("granularity_sweep"))
-    trace = run_sim(sc.topology, sc.flows, sc.sim)
+    trace = run(sc.topology, sc.flows, sc.sim)
     # final epoch: weights 1.035 : 1 -> g0 takes 50.86% of the link
     end = mean_rates(trace, (7.5e-3, 8.0e-3))
     expected = 100e9 * 1.035 / 2.035

@@ -11,13 +11,12 @@ from soze_sim import (
     SimConfig,
     check_lemma_conditions,
     inverse_target,
-    run,
     target_delay,
     update_ratio,
 )
 from soze_sim.control import _update_ratio
 
-from conftest import default_params, flow_on_link, single_link
+from conftest import default_params, flow_on_link, run, single_link
 
 P = default_params()  # p=20us, k=3us, m=0.25, alpha=100G, beta=0.1G
 

@@ -19,7 +19,6 @@ from soze_sim import (
     fat_tree,
     load_scenario,
     route_flow,
-    run,
     target_delay,
     water_fill,
 )
@@ -31,6 +30,7 @@ from conftest import (
     SCENARIO_DIR,
     default_params,
     flow_on_link,
+    run,
     scenario_path,
     single_link,
     two_switch,
@@ -104,7 +104,7 @@ def test_queue_step_follows_the_rates_in_force():
     assert trace.queue_delays.max() > 0.0
 
     bw = [trace.bandwidths[lid] for lid in trace.link_ids]
-    routes = [[trace.link_index(lid) for lid in f.route] for f in flows]
+    routes = [[trace.link_ids.index(lid) for lid in f.route] for f in flows]
     events = {}
     for e in trace.events:
         events.setdefault(round(e.time / dt), []).append(e)
@@ -147,7 +147,7 @@ def test_max_qd():
                     sampling_interval=0.125e-6)
     eng = FluidSimulation(topo, flows, cfg)
     trace = eng.run()
-    qd = {lid: trace.queue_delays[:, trace.link_index(lid)] for lid in
+    qd = {lid: trace.queue_delays[:, trace.link_ids.index(lid)] for lid in
           ("a->b", "b->c", "c->d")}
     # every hop is overloaded; each queue grows at its own slope, fastest on
     # the middle hop (110G into 50G)
@@ -550,7 +550,7 @@ def test_first_step_queue_matches_dense_incidence_product():
     incidence = np.zeros((len(trace.link_ids), len(flows)))
     for j, f in enumerate(flows):
         for lid in f.route:
-            incidence[trace.link_index(lid), j] = 1.0
+            incidence[trace.link_ids.index(lid), j] = 1.0
     bw = np.array([trace.bandwidths[lid] for lid in trace.link_ids])
     arrival = incidence @ trace.rates[0]
     expected = np.maximum(dt * (arrival - bw) / bw, 0.0)
@@ -934,7 +934,7 @@ def test_steady_argmax_queue_is_oracle_bottleneck():
     alloc = water_fill(topo, flows)
     tail = trace.queue_delays[int(0.8 * len(trace.times)):].mean(axis=0)
     for f in flows:
-        route_delay = {lid: tail[trace.link_index(lid)] for lid in f.route}
+        route_delay = {lid: tail[trace.link_ids.index(lid)] for lid in f.route}
         assert max(route_delay, key=route_delay.get) == alloc.bottlenecks[f.id]
 
 

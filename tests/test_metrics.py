@@ -11,7 +11,6 @@ from soze_sim import (
     SimConfig,
     Trace,
     convergence_time,
-    run,
     target_delay,
     water_fill,
 )
@@ -24,6 +23,7 @@ from conftest import (
     default_params,
     flow_on_link,
     mean_rates,
+    run,
     single_link,
     target_delay_error,
     utilization,

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from soze_sim import (
     FlowSpec,
     build_topology,
-    fairness_error,
-    verify_goal_equivalence,
     load_scenario,
     water_fill,
 )
@@ -20,11 +18,13 @@ from soze_sim.model import FlowError
 from soze_sim.oracle import _REL_TOL
 
 from conftest import (
+    fairness_error,
     flow_on_link,
     scenario_path,
     single_link,
     two_switch,
     two_switch_flows,
+    verify_goal_equivalence,
 )
 
 

@@ -142,6 +142,25 @@ def test_flow_groups_expand_deterministically():
            [(f.route, f.weight_schedule) for f in diff.flows]
 
 
+def test_seed_is_read_by_the_scenario_not_the_engine():
+    sc = load_scenario(scenario_path("weighted_split"))
+    assert sc.seed == 1 and not hasattr(sc.sim, "seed")
+    assert scenario_from_dict({**sc.raw, "sim": {"dt": 0.1e-6,
+                                                 "end_time": 1e-3}}).seed == 0
+
+
+def test_negative_group_start_is_refused_naming_the_group():
+    raw = {
+        "topology": {"nodes": ["a", "b"],
+                     "links": [{"src": "a", "dst": "b", "bandwidth": 1e9}]},
+        "flow_groups": [{"count": 2, "src": "a", "dst": "b", "start": -1e-6}],
+        "sim": {"dt": 0.1e-6, "end_time": 1e-3},
+    }
+    with pytest.raises(ScenarioError,
+                       match=r"flow_groups\[0\]: .*start time must be >= 0"):
+        scenario_from_dict(raw)
+
+
 def test_flow_group_stagger_and_rate_split():
     raw = {
         "name": "g",
