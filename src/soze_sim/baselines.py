@@ -1,11 +1,12 @@
 """Delay-threshold AIMD rate control, the contrast baseline.
 
 Window semantics on a fluid rate: the congestion window is a real-valued
-packet count, ``rate = cwnd * packet_size / base_rtt``.  Once per RTT the
-controller adds one packet when the observed queueing delay sits below the
-threshold and multiplicatively backs off when it does not.  Weights are
-ignored: this baseline only serves the oscillation and utilization
-comparison on equal-weight scenarios.
+count of packets of ``sim.packet_size`` bits (``SimConfig.packet_size``),
+``rate = cwnd * packet_size / base_rtt``.  Once per RTT the controller adds
+one packet when the observed queueing delay sits below the threshold and
+multiplicatively backs off when it does not.  Weights are ignored: this
+baseline only serves the oscillation and utilization comparison on
+equal-weight scenarios.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import numpy as np
 class AimdConfig:
     threshold: float = 20e-6     # s; queueing delay that triggers backoff
     md: float = 0.20             # multiplicative decrease fraction
-    packet_size: float = 8000.0  # bits
 
     def __post_init__(self) -> None:
         if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
         if not 0.0 < self.md < 1.0:
             raise ValueError("md must be in (0, 1)")
-        if not self.packet_size > 0:
-            raise ValueError("packet_size must be > 0")
 
 
 def aimd_window(cwnd, signal, config: AimdConfig):

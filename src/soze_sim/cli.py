@@ -14,7 +14,11 @@ hold one convergence window; its ``convergence.error`` says why), and
 ``judged``, whether the scenario's ``convergence.judge`` setting counts it.
 The summary's ``status`` is ``converged`` or names the first judged epoch
 that did not converge; ``all_converged`` is true when every judged epoch
-converged.
+converged.  Each report block holds its report type's fields, as ``vars``
+of the object itself (no copy): ``control`` a ``ControlParams``,
+``lemma_report`` a ``LemmaReport``, an epoch's ``oracle`` (and ``soze-sim
+oracle``'s ``allocation``) an ``AllocationResult`` and its ``convergence``
+a ``ConvergenceReport``.
 
 A sweep writes ``<name>.sweep_<param>.json``, one row per value:
 
@@ -38,7 +42,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from . import metrics
 from .control import check_lemma_conditions
@@ -112,7 +116,7 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
         if alloc is None:
             entry["oracle"] = None
             continue
-        entry["oracle"] = alloc.as_dict()
+        entry["oracle"] = vars(alloc)
         try:
             report = metrics.convergence_time(
                 trace,
@@ -127,7 +131,7 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
             entry["convergence"] = {"converged": False, "error": str(exc)}
             entry["status"] = "too_short_for_window"
         else:
-            entry["convergence"] = report.as_dict()
+            entry["convergence"] = vars(report)
             entry["status"] = "converged" if report.converged else "not_settled"
         entry["judged"] = scenario.convergence_judge == "all"
     measured = [ep for ep in epochs if "status" in ep]
@@ -143,7 +147,7 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
     return {
         "scenario": scenario.name,
         "wall_time_s": wall_time,
-        "control": asdict(params),
+        "control": vars(params),
         "sim": {
             "dt": scenario.sim.dt,
             "end_time": scenario.sim.end_time,
@@ -152,7 +156,7 @@ def summarize_run(scenario: Scenario, engine: FluidSimulation, trace: Trace,
             "seed": scenario.seed,
             "sampling_interval": trace.sampling_interval,
         },
-        "lemma_report": lemma.as_dict(),
+        "lemma_report": vars(lemma),
         "epochs": epochs,
         "require_converged": scenario.require_converged,
         "all_converged": status == "converged",
@@ -274,7 +278,7 @@ def cmd_oracle(args) -> int:
             "start": t0,
             "end": t1,
             "flows": [f.id for f in active],
-            "allocation": alloc.as_dict() if alloc else None,
+            "allocation": vars(alloc) if alloc else None,
         })
     print(json.dumps({"scenario": scenario.name, "epochs": table},
                      indent=2, sort_keys=True))

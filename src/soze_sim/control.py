@@ -133,19 +133,9 @@ class LemmaReport:
     fairness_ok: bool          # 0 < m < 2
     queue_osc_ok: bool         # p > (dt/2) ln(alpha/beta): converges, may ring
     queue_noosc_ok: bool       # p > dt ln(alpha/beta): settles monotonically
-    m_range: tuple[float, float]
+    m_range: list[float]       # a list, as JSON reads it back
     p_osc_threshold: float     # s
     p_noosc_threshold: float   # s
-
-    def as_dict(self) -> dict:
-        return {
-            "fairness_ok": self.fairness_ok,
-            "queue_osc_ok": self.queue_osc_ok,
-            "queue_noosc_ok": self.queue_noosc_ok,
-            "m_range": list(self.m_range),
-            "p_osc_threshold": self.p_osc_threshold,
-            "p_noosc_threshold": self.p_noosc_threshold,
-        }
 
 
 def check_lemma_conditions(params: ControlParams) -> LemmaReport:
@@ -160,7 +150,7 @@ def check_lemma_conditions(params: ControlParams) -> LemmaReport:
         fairness_ok=0.0 < params.m < 2.0,
         queue_osc_ok=params.p > osc,
         queue_noosc_ok=params.p > noosc,
-        m_range=(0.0, 2.0),
+        m_range=[0.0, 2.0],
         p_osc_threshold=osc,
         p_noosc_threshold=noosc,
     )

@@ -98,7 +98,8 @@ class SimConfig:
     ``signal_delay_mode`` selects the feedback lag: a constant base RTT
     (default) or base RTT plus the route's queueing delays at emission time.
     ``update_mode`` gates controller updates once per RTT (default) or once
-    per packet of ``packet_size`` bits.
+    per packet of ``packet_size`` bits.  AIMD's window also counts packets
+    of ``packet_size`` bits.
     """
 
     dt: float
@@ -348,20 +349,31 @@ class FluidSimulation:
         self.is_aimd = np.array([f.controller == "aimd" for f in flows])
         self.is_soze = ~self.is_aimd
 
+        per_packet = config.update_mode == "per_packet"
         self.gate = self.base_rtt.copy()
         if params.update_interval is not None:
             self.gate[self.is_soze] = params.update_interval
-        if np.any(self.gate <= 0):
+        # per flow, the gate that dt must resolve; per packet, a Söze flow's
+        # base RTT too (an AIMD flow's gate is its base RTT)
+        limit = np.minimum(self.gate, self.base_rtt) if per_packet else self.gate
+        fastest = int(limit.argmin())
+        finest = float(limit[fastest])
+        if finest <= 0:
+            head = (f"flow {self.flow_ids[fastest]!r} has zero base RTT (no "
+                    f"prop_delay on route {', '.join(flows[fastest].route)})")
+            if self.is_aimd[fastest]:
+                raise SimConfigError(
+                    f"prop_delay: {head}, which AIMD divides its window by")
+            if per_packet:
+                raise SimConfigError(f"prop_delay: {head}, and per_packet "
+                                     "updates need dt <= a quarter of it")
             raise SimConfigError(
-                "a flow has zero base RTT and no explicit update interval"
-            )
-        finest = float(self.gate.min())
-        if config.update_mode == "per_packet" and self.is_soze.any():
-            finest = min(finest, float(self.base_rtt[self.is_soze].min()))
+                f"control.update_interval: {head}, so it needs an update interval")
         if config.dt > finest / 4.0 * (1.0 + 1e-9):
             raise SimConfigError(
-                f"dt {config.dt} too coarse: need <= {finest / 4.0} "
-                "(a quarter of the fastest control gate)"
+                f"sim.dt: {config.dt} too coarse: need <= {finest / 4.0}, a "
+                "quarter of the fastest control gate "
+                f"(flow {self.flow_ids[fastest]!r})"
             )
 
         self.n_steps = max(1, int(round(config.end_time / config.dt)))
@@ -584,7 +596,7 @@ class FluidSimulation:
         self._last_ack = float(np.maximum.reduce(self._eligible_from))
 
         aimd = cfg.aimd
-        aimd_pkt = aimd.packet_size
+        aimd_pkt = cfg.packet_size
         events_out: list[TraceEvent] = []
         ev = self._events
         ev_ptr = 0

@@ -36,16 +36,6 @@ class ConvergenceReport:
     utilization: dict[str, float]
     rate_oscillation: dict[str, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "convergence_time": self.convergence_time,
-            "convergence_rtts": self.convergence_rtts,
-            "final_fairness_error": self.final_fairness_error,
-            "utilization": dict(self.utilization),
-            "rate_oscillation": dict(self.rate_oscillation),
-        }
-
 
 def _slice(trace: Trace, start: float | None, end: float | None):
     t = trace.times

@@ -51,14 +51,6 @@ class AllocationResult:
     fair_share: dict[str, float]             # saturated link -> bits/s per weight
     weights: dict[str, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "rates": dict(self.rates),
-            "bottlenecks": dict(self.bottlenecks),
-            "fair_share": dict(self.fair_share),
-            "weights": dict(self.weights),
-        }
-
 
 def _hops_of(flows: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The hop indices of ``flows``, flow after flow, each route in order."""

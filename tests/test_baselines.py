@@ -13,7 +13,7 @@ from soze_sim import (
 from conftest import run
 
 
-CFG = AimdConfig(threshold=20e-6, md=0.20, packet_size=8000.0)
+CFG = AimdConfig(threshold=20e-6, md=0.20)
 
 
 def test_additive_increase_below_threshold():

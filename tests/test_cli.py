@@ -96,7 +96,10 @@ def test_require_converged_exit_3(tmp_out):
 
 
 def test_summary_round_trips_through_json(tmp_out):
-    from soze_sim import load_scenario
+    from dataclasses import fields
+
+    from soze_sim import (
+        AllocationResult, ConvergenceReport, LemmaReport, load_scenario)
     from soze_sim.cli import execute_scenario
 
     path = write_scenario(tmp_out, SMALL)
@@ -106,6 +109,47 @@ def test_summary_round_trips_through_json(tmp_out):
     assert loaded == result.summary
     assert loaded["lemma_report"]["fairness_ok"] is True
     assert loaded["epochs"][0]["oracle"]["rates"]["p"] == 75e9
+    # each report block holds exactly its report type's fields
+    epoch = loaded["epochs"][0]
+    for block, cls in ((epoch["oracle"], AllocationResult),
+                       (epoch["convergence"], ConvergenceReport),
+                       (loaded["lemma_report"], LemmaReport)):
+        assert set(block) == {f.name for f in fields(cls)}, cls.__name__
+
+
+def test_epoch_with_no_active_flows(tmp_out, capsys):
+    """A gap between one flow's stop and the next one's start is an epoch
+    with no oracle and no verdict."""
+    from soze_sim import load_scenario
+    from soze_sim.cli import execute_scenario
+
+    sets = ["flows.0.stop=2e-4", "flows.1.start=3e-4", "sim.end_time=6e-4"]
+    argv = ["run", scenario_path("weighted_split"), "--out", tmp_out]
+    for spec in sets:
+        argv += ["--set", spec]
+    assert main(argv) == 0
+    assert "epoch [0.0002, 0.0003s) no active flows" in capsys.readouterr().out
+    with open(os.path.join(tmp_out, "weighted_split.summary.json")) as fh:
+        summary = json.load(fh)
+    first, gap, last = summary["epochs"]
+    assert (gap["start"], gap["end"], gap["flows"]) == (2e-4, 3e-4, [])
+    assert gap["oracle"] is None
+    assert "status" not in gap and "convergence" not in gap
+    assert (first["flows"], last["flows"]) == (["w3"], ["w1"])
+    assert summary["all_converged"] is True
+    result = execute_scenario(
+        load_scenario(scenario_path("weighted_split"), sets), tmp_out)
+    assert json.loads(json.dumps(result.summary)) == result.summary
+
+
+def test_flow_stops_end_epochs(tmp_out):
+    assert main(["run", scenario_path("step_in_out"), "--out", tmp_out]) == 0
+    with open(os.path.join(tmp_out, "step_in_out.summary.json")) as fh:
+        epochs = json.load(fh)["epochs"]
+    # f1 and f2 join at 0.5 and 1 ms and stop at 2 and 1.5 ms
+    assert [ep["end"] for ep in epochs] == [0.5e-3, 1e-3, 1.5e-3, 2e-3, 2.5e-3]
+    assert [ep["flows"] for ep in epochs[2:]] == [
+        ["f0", "f1", "f2"], ["f0", "f1"], ["f0"]]
 
 
 def test_oracle_prints_epoch_table(capsys):
@@ -162,6 +206,27 @@ def test_sweep_flow_count(tmp_out, capsys):
     ))
     assert [row["value"] for row in rows] == [4, 8]
     assert all(row["converged"] for row in rows)
+
+
+def test_sweep_fat_tree_size(tmp_out):
+    assert main([
+        "sweep", scenario_path("fat_tree_random"), "--param", "K",
+        "--values", "4", "--set", "flow_groups.0.count=20",
+        "--set", "sim.end_time=1e-4", "--out", tmp_out,
+    ]) == 0
+    with open(os.path.join(tmp_out, "fat_tree_random.sweep_K.json")) as fh:
+        [row] = json.load(fh)
+    assert (row["param"], row["value"]) == ("K", 4)
+
+
+def test_sweep_flow_count_needs_flow_groups(tmp_out, capsys):
+    assert main([
+        "sweep", scenario_path("weighted_split"), "--param", "flow_count",
+        "--values", "3", "--out", tmp_out,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "flow_groups" in err and "Traceback" not in err
+    assert os.listdir(tmp_out) == []
 
 
 def test_sweep_flow_count_judge_all_names_unsettled_epochs(tmp_out, capsys):
@@ -247,6 +312,9 @@ def test_bad_convergence_setting_exits_2_and_names_field(tmp_out, capsys,
     # finite, but out of range
     ("flows.0.start=-1e-6", "flows[0]"),
     ("outputs={trace: x.csv, summary: x.csv}", "outputs"),
+    # valid alone, refused by the engine at set-up
+    ("topology.links.0.prop_delay=0", "control.update_interval"),
+    ("sim.dt=1e-5", "sim.dt"),
 ])
 def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
                                                  field):
@@ -328,6 +396,7 @@ def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
     ("weighted_split", "bogus=1", "bogus"),
     ("weighted_split", "control.pp=1", "control.pp"),
     ("weighted_split", "aimd.threshhold=1e-5", "aimd.threshhold"),
+    ("weighted_split", "aimd.packet_size=8000", "aimd.packet_size"),
     ("weighted_split", "sim.dtt=1", "sim.dtt"),
     ("weighted_split", "sim.control=1", "sim.control"),
     ("weighted_split", "flows.0.wieght=3", "flows[0].wieght"),
@@ -396,6 +465,24 @@ def test_route_crossing_a_link_twice_exits_2(capsys):
                  "flows.0.route=[a->b, b->a, a->b]"]) == 2
     err = capsys.readouterr().err
     assert "'w3'" in err and "'a->b' twice" in err
+
+
+@pytest.mark.parametrize("setting", [
+    "default_controller=aimd",
+    "sim.update_mode=per_packet",
+])
+def test_zero_base_rtt_needs_prop_delay_whatever_the_interval(
+        tmp_out, capsys, setting):
+    """AIMD divides by the base RTT and per_packet needs dt under a quarter
+    of it, so an update interval cannot stand in for propagation delay."""
+    assert main(["run", scenario_path("weighted_split"),
+                 "--set", "topology.links.0.prop_delay=0",
+                 "--set", "control.update_interval=1e-6",
+                 "--set", setting, "--out", tmp_out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: prop_delay: flow 'w3' has zero base RTT")
+    assert "route a->b" in err and "Traceback" not in err
+    assert os.listdir(tmp_out) == []
 
 
 def test_oversize_run_exits_2_before_allocating(tmp_out, capsys):

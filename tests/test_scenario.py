@@ -294,7 +294,7 @@ FUZZ_BASES = [
              "initial_rate_total": 3e9},
         ],
         "control": {"p": 20e-6, "k": 3e-6, "m": 0.25, "rate_cap": 100e9},
-        "aimd": {"threshold": 20e-6, "md": 0.2, "packet_size": 8000.0},
+        "aimd": {"threshold": 20e-6, "md": 0.2},
         "sim": {"dt": 0.125e-6, "end_time": 1e-3, "seed": 1,
                 "sampling_interval": 1e-6, "signal_delay_mode": "fixed_rtt",
                 "update_mode": "per_rtt", "packet_size": 8000.0},

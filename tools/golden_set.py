@@ -8,13 +8,14 @@ Usage, from the root of a checkout::
 
 Every command goes through ``soze_sim.cli.main``:
 
-- the 16 golden runs: the 10 built-in scenarios (``fig_maxmin`` under the
+- the 17 golden runs: the 10 built-in scenarios (``fig_maxmin`` under the
   acceptance suite's overrides), ``single_link_4flows`` under AIMD,
   ``weighted_split`` with ``per_packet`` updates, ``step_in_out`` with the
   queue lag cut to 0.6 ms, ``fat_tree_random`` at K=8 with 2000 flows and
-  seed 5, ``single_link_nflows`` with 1000 flows, and ``step_in_out`` with
+  seed 5, ``single_link_nflows`` with 1000 flows, ``step_in_out`` with
   ``per_packet`` updates and ``f2`` under AIMD (a Söze flow, ``f1``, stops
-  mid-run);
+  mid-run), and ``weighted_split`` with a gap between ``w3``'s stop and
+  ``w1``'s start (an epoch with no active flows);
 - ``soze-sim oracle`` on the 10 built-in scenarios;
 - the 5-value ``m_sweep`` sweep over ``m``.
 
@@ -69,6 +70,8 @@ RUNS = [(n, n, FIG_MAXMIN if n == "fig_maxmin" else ()) for n in BUILTINS] + [
     ("single_link_nflows.1000", "single_link_nflows", ("flow_groups.0.count=1000",)),
     ("step_in_out.per_packet_aimd", "step_in_out",
      ("sim.update_mode=per_packet", "flows.2.controller=aimd")),
+    ("weighted_split.gap", "weighted_split",
+     ("flows.0.stop=2e-4", "flows.1.start=3e-4", "sim.end_time=6e-4")),
 ]
 SWEEP = ("m_sweep", "m", "0.25,1.0,1.9,2.0,2.5")
 
