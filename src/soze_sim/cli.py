@@ -6,7 +6,8 @@ Subcommands::
     soze-sim sweep <scenario.yaml> --param NAME --values a,b,c [--out DIR]
     soze-sim oracle <scenario.yaml> [--set key=value]...
 
-Each run writes a trace CSV and a summary JSON.  The summary holds one entry
+A run writes ``<name>.trace.csv`` and ``<name>.summary.json`` into the
+output directory, ``name`` being the scenario's.  The summary holds one entry
 per epoch (the span between two flow events); an epoch with active flows
 carries its oracle allocation, its ``convergence`` report, a ``status`` of
 ``converged``, ``not_settled`` or ``too_short_for_window`` (the epoch cannot
@@ -20,7 +21,9 @@ of the object itself (no copy): ``control`` a ``ControlParams``,
 oracle``'s ``allocation``) an ``AllocationResult`` and its ``convergence``
 a ``ConvergenceReport``.
 
-A sweep writes ``<name>.sweep_<param>.json``, one row per value:
+A sweep instance is the run with ``--param`` set to one value, written as
+``<name>.<param>=<value>.trace.csv`` and ``<name>.<param>=<value>.summary.json``;
+the sweep writes ``<name>.sweep_<param>.json``, one row per value:
 
 * ``converged`` -- the instance summary's ``all_converged``;
 * ``status`` -- the instance summary's ``status``;
@@ -172,21 +175,21 @@ class RunOutput:
 
 
 def execute_scenario(scenario: Scenario, out_dir: str,
-                     tag: str | None = None) -> RunOutput:
+                     stem: str | None = None) -> RunOutput:
+    """Simulate ``scenario`` and write ``<stem>.trace.csv`` and
+    ``<stem>.summary.json`` (the stem defaulting to its name) in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     engine = FluidSimulation(scenario.topology, scenario.flows, scenario.sim)
     trace = engine.run()
     wall = time.perf_counter() - t0
     summary = summarize_run(scenario, engine, trace, wall)
-    # a sweep instance's tag replaces the scenario's own file names
-    trace_path = os.path.join(
-        out_dir, scenario.trace_name if tag is None else f"{tag}.trace.csv")
-    summary_path = os.path.join(
-        out_dir, scenario.summary_name if tag is None else f"{tag}.summary.json")
-    trace.to_csv(trace_path)
-    _atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return RunOutput(summary, trace_path, summary_path)
+    path = os.path.join(out_dir, stem or scenario.name)
+    result = RunOutput(summary, f"{path}.trace.csv", f"{path}.summary.json")
+    trace.to_csv(result.trace_path)
+    _atomic_write(result.summary_path,
+                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return result
 
 
 def cmd_run(args) -> int:
@@ -211,8 +214,8 @@ def _sweep_instance(base_raw: dict, param: str, value,
     raw = copy.deepcopy(base_raw)
     apply_sweep_value(raw, param, value)
     scenario = scenario_from_dict(raw)
-    tag = f"{scenario.name}.{param}={value}"
-    result = execute_scenario(scenario, out_dir, tag=tag)
+    result = execute_scenario(scenario, out_dir,
+                              stem=f"{scenario.name}.{param}={value}")
     summary = result.summary
     judged = [ep for ep in summary["epochs"] if ep.get("judged")]
     last = judged[-1]["convergence"] if judged else {}

@@ -34,11 +34,11 @@ nodes and cables::
            bidirectional: true}   # default true: also adds link "dst->src"
 
 Ids and names are non-empty strings; an integer reads as its digits.
-``name`` (the stem of the default output file names) and the optional
-``outputs.trace`` and ``outputs.summary`` name files inside the output
-directory, so they hold no ``/``, ``\\`` or ``..``, and the trace and the
-summary name different files.  A flow's or group's ``start`` is a time >= 0
-(the run starts at 0; default 0).  A malformed field raises
+``name`` is the stem of a run's output files, ``<name>.trace.csv`` and
+``<name>.summary.json`` inside the output directory, so it holds no ``/``,
+``\\`` or ``..``.  A scenario lists at least one flow, explicitly or in a
+group.  A flow's or group's ``start`` is a time >= 0 (the run starts at 0;
+default 0).  A malformed field raises
 ``ScenarioError`` whose message starts with the field's name
 (``flows[0].weight``, ``topology.links[1].bandwidth``), or with the override
 or file it came from; a key that no reader reads is refused the same way
@@ -48,6 +48,11 @@ built, and a value it refuses is named by the entry it was built from:
 and the section for the rest (``control: p must be > 0``).  Explicit
 ``route`` entries are checked against the topology; routes found from
 ``src`` and ``dst`` are valid as found.
+
+A sweep parameter is set as ``--set`` sets its path: ``m``, ``p`` and ``k``
+at ``control.m``, ``control.p`` and ``control.k``, ``flow_count`` at
+``flow_groups.0.count`` and ``K`` at ``topology.K``; ``initial_rate`` sets
+every flow's and group's ``initial_rate`` (dropping ``initial_rate_total``).
 """
 
 from __future__ import annotations
@@ -86,8 +91,7 @@ TOPOLOGY_KINDS = ("inline", "star", "fat_tree")
 
 # the keys each section or entry reads; any other key is refused
 TOP_KEYS = ("name", "require_converged", "default_controller", "topology",
-            "flows", "flow_groups", "control", "aimd", "sim", "convergence",
-            "outputs")
+            "flows", "flow_groups", "control", "aimd", "sim", "convergence")
 LINK_KEYS = ("src", "dst", "bandwidth", "prop_delay", "id", "bidirectional")
 FLOW_KEYS = ("id", "route", "src", "dst", "weight", "weight_schedule", "start",
              "stop", "controller", "initial_rate")
@@ -106,8 +110,6 @@ class Scenario:
     topology: Topology
     flows: list[FlowSpec]
     sim: SimConfig
-    trace_name: str           # file names inside the output directory
-    summary_name: str
     seed: int = 0             # sim.seed
     require_converged: bool = False
     convergence_eps: float = EPS
@@ -136,54 +138,51 @@ def load_scenario(path: str, overrides: Sequence[str] = ()) -> Scenario:
 
 
 def apply_override(raw: dict, spec: str) -> None:
-    """Apply one ``dotted.path=value`` override in place.
-
-    Path segments that parse as integers index into lists; values are parsed
-    as YAML so ``--set control.m=1.5`` and ``--set flows.0.weight=2`` work.
-    """
+    """Apply one ``dotted.path=value`` override in place; the value is read
+    as YAML, so ``--set flows.0.weight=2`` sets a number."""
     if "=" not in spec:
         raise ScenarioError(f"override {spec!r}: expected key=value")
     key, _, text = spec.partition("=")
-    value = parse_yaml(text, f"override {key}")
+    source = f"override {key}"
+    _assign(raw, key, parse_yaml(text, source), source)
+
+
+def _assign(raw: dict, key: str, value: Any, source: str) -> None:
+    """Set the dotted path ``key`` of ``raw`` to ``value``: integer segments
+    index lists, and a missing or null section on the way is made empty.  A
+    path that cannot be walked raises a ScenarioError naming ``source``."""
     parts = key.split(".")
     node: Any = raw
     for part, nxt in zip(parts, parts[1:]):
-        slot = _slot(node, part, key)
+        slot = _slot(node, part, source)
         if (isinstance(node, dict) and slot not in node) or node[slot] is None:
             node[slot] = [] if nxt.isdigit() else {}
         node = node[slot]
-    node[_slot(node, parts[-1], key)] = value
+    node[_slot(node, parts[-1], source)] = value
 
 
-def _slot(node: Any, part: str, key: str) -> str | int:
-    """The dict key or list index that segment ``part`` of the override path
-    ``key`` names in ``node``."""
+def _slot(node: Any, part: str, source: str) -> str | int:
+    """The dict key or list index that path segment ``part`` names in
+    ``node``."""
     if isinstance(node, dict):
         return part
     if not isinstance(node, list):
-        raise ScenarioError(f"override {key}: no {part!r} in a {type(node).__name__}")
+        raise ScenarioError(f"{source}: no {part!r} in a {type(node).__name__}")
     if not part.isdigit() or int(part) >= len(node):
-        raise ScenarioError(f"override {key}: bad list index {part!r}")
+        raise ScenarioError(f"{source}: bad list index {part!r}")
     return int(part)
 
 
-SWEEP_PARAMS = ("m", "p", "k", "flow_count", "K", "initial_rate")
+SWEEP_PATHS = {"m": "control.m", "p": "control.p", "k": "control.k",
+               "flow_count": "flow_groups.0.count", "K": "topology.K"}
+SWEEP_PARAMS = (*SWEEP_PATHS, "initial_rate")
 
 
 def apply_sweep_value(raw: dict, param: str, value: Any) -> None:
     """Point one sweepable parameter at ``value`` inside the raw scenario."""
-    if param in ("m", "p", "k"):
-        raw.setdefault("control", {})[param] = value
-    elif param == "K":
-        topo = raw.get("topology", {})
-        if topo.get("kind") != "fat_tree":
-            raise ScenarioError("sweep K: topology.kind must be fat_tree")
-        topo["K"] = value
-    elif param == "flow_count":
-        groups = raw.get("flow_groups")
-        if not groups:
-            raise ScenarioError("sweep flow_count: scenario has no flow_groups")
-        groups[0]["count"] = value
+    if param in SWEEP_PATHS:
+        path = SWEEP_PATHS[param]
+        _assign(raw, path, value, f"sweep {param} ({path})")
     elif param == "initial_rate":
         for f in raw.get("flows") or []:
             f["initial_rate"] = value
@@ -584,6 +583,8 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
                 _expand_group(topology, group, gi, seed, rng, default_controller)
             )
 
+    if not flows:
+        raise ScenarioError("flows: expected at least one flow")
     ids = [f.id for f in flows]
     if len(set(ids)) != len(ids):
         dup = sorted({x for x in ids if ids.count(x) > 1})
@@ -613,21 +614,11 @@ def scenario_from_dict(raw: dict, overrides: Sequence[str] = ()) -> Scenario:
         )
 
     eps, window, judge = _convergence_section(_section(raw, "convergence", ""))
-    outputs = _section(raw, "outputs", "")
-    _only(outputs, ("trace", "summary"), "outputs")
-    trace_name = _file_name(outputs, "trace", "outputs", f"{name}.trace.csv")
-    summary_name = _file_name(outputs, "summary", "outputs",
-                              f"{name}.summary.json")
-    if trace_name == summary_name:
-        raise ScenarioError(
-            f"outputs: trace and summary both name {trace_name!r}")
     return Scenario(
         name=name,
         topology=topology,
         flows=flows,
         sim=sim,
-        trace_name=trace_name,
-        summary_name=summary_name,
         seed=seed,
         require_converged=require_converged,
         convergence_eps=eps,

@@ -62,16 +62,17 @@ def test_traced_run_and_sweep_reach_every_wrapped_layer(tmp_path, monkeypatch):
 
 def test_setup_step_builds_engines_for_a_run_and_a_sweep(monkeypatch):
     """``setup_s`` times ``passrun.build_sims``, which reaches the scenario
-    readers and the engine by name."""
+    readers, the sweep setter and the engine by name."""
     passrun = load_perfbench(monkeypatch, "passrun")
     workloads = importlib.import_module("workloads")
     monkeypatch.chdir(ROOT)    # workload paths are relative to the root
     run = workloads.ops_for("builtin_suite", 7, tiny=True)[0]
-    sweep = workloads.ops_for("sweep_ladders", 7, tiny=True)[0]
-    assert run.param is None and sweep.param is not None
-    for op, n in ((run, 1), (sweep, len(sweep.values))):
+    sweeps = workloads.ops_for("sweep_ladders", 7, tiny=True)
+    assert run.param is None
+    assert [op.param for op in sweeps] == ["m", "flow_count"]
+    for op in (run, *sweeps):
         sims = passrun.build_sims(soze_sim, op)
-        assert len(sims) == n
+        assert len(sims) == (1 if op.param is None else len(op.values))
         for sc, engine in sims:
             assert isinstance(engine, soze_sim.FluidSimulation)
             assert engine.flow_ids == tuple(f.id for f in sc.flows)

@@ -172,12 +172,19 @@ def test_oracle_weighted_split(capsys):
 
 
 def test_oracle_empty_flow_list(tmp_out, capsys):
+    """A scenario without flows is refused by every command, naming
+    ``flows``."""
     raw = {k: v for k, v in SMALL.items() if k != "flows"}
     path = write_scenario(tmp_out, raw)
-    assert main(["oracle", path]) == 0
-    table = json.loads(capsys.readouterr().out)
-    assert table["epochs"][0]["allocation"] is None
-    assert table["epochs"][0]["flows"] == []
+    for argv in (["oracle", path],
+                 ["run", path, "--out", tmp_out],
+                 ["sweep", path, "--param", "m", "--values", "0.5",
+                  "--out", tmp_out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: flows: expected at least one flow")
+        assert err.count("flows") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_out) == ["scenario.yaml"]
 
 
 def test_sweep_m_convergence_flags(tmp_out, capsys):
@@ -219,13 +226,25 @@ def test_sweep_fat_tree_size(tmp_out):
     assert (row["param"], row["value"]) == ("K", 4)
 
 
+def test_sweep_with_an_empty_control_section(tmp_out):
+    """A null section is made empty by the setter, as ``--set`` makes it."""
+    raw = dict(SMALL, control=None, sim={"dt": 0.125e-6, "end_time": 2e-5})
+    path = write_scenario(tmp_out, raw)
+    assert main(["sweep", path, "--param", "m", "--values", "0.5",
+                 "--out", tmp_out]) == 0
+    with open(os.path.join(tmp_out, "small.m=0.5.summary.json")) as fh:
+        assert json.load(fh)["control"]["m"] == 0.5
+
+
 def test_sweep_flow_count_needs_flow_groups(tmp_out, capsys):
     assert main([
         "sweep", scenario_path("weighted_split"), "--param", "flow_count",
         "--values", "3", "--out", tmp_out,
     ]) == 2
     err = capsys.readouterr().err
-    assert "flow_groups" in err and "Traceback" not in err
+    assert err.startswith("error: sweep flow_count (flow_groups.0.count): "
+                          "bad list index")
+    assert "Traceback" not in err
     assert os.listdir(tmp_out) == []
 
 
@@ -311,7 +330,21 @@ def test_bad_convergence_setting_exits_2_and_names_field(tmp_out, capsys,
     ("topology.links.0.prop_delay=.nan", "propagation delay"),
     # finite, but out of range
     ("flows.0.start=-1e-6", "flows[0]"),
-    ("outputs={trace: x.csv, summary: x.csv}", "outputs"),
+    ("sim.dt=-1", "sim: dt must be > 0"),
+    ("sim.packet_size=0", "sim: packet_size must be > 0"),
+    ("sim.sampling_interval=1e-9", "sim: sampling_interval must be >= dt"),
+    ("control.k=-1", "control: k must be >= 0"),
+    ("control.rate_floor=0", "control: rate_floor must be > 0"),
+    ("control.update_interval=0", "control: update_interval must be > 0"),
+    ("flows.0.weight_schedule=[]", "flows[0]: flow 'p': empty weight schedule"),
+    ("flows.1.stop=0", "flows[1]: flow 'q': stop time must be after start"),
+    ("topology.nodes=[a,a,b]", "topology: duplicate node ids"),
+    ("topology.links.0.dst=a", "topology: link 'a->a': self-loop"),
+    ("topology={kind: star, n: 1}", "topology: star: need at least 2 hosts"),
+    ("flow_groups=[{count: 1, src: random, dst: b}]",
+     "flow_groups[0]: random endpoints need >= 2 hosts"),
+    ("sim.dt.x=1", "override sim.dt.x: no 'x' in a float"),
+    ("flows=[]", "flows: expected at least one flow"),
     # valid alone, refused by the engine at set-up
     ("topology.links.0.prop_delay=0", "control.update_interval"),
     ("sim.dt=1e-5", "sim.dt"),
@@ -373,16 +406,13 @@ def test_nonfinite_value_exits_2_and_names_field(tmp_out, capsys, setting,
     ("weighted_split", "sim.signal_delay_mode=[1]", "sim.signal_delay_mode"),
     ("weighted_split", "sim.update_mode=x", "sim.update_mode"),
     ("weighted_split", "flows.0.weight=[1", "override flows.0.weight"),
-    ("weighted_split", "outputs.trace=/tmp/x.csv", "outputs.trace"),
-    ("weighted_split", "outputs.summary=../s.json", "outputs.summary"),
-    ("weighted_split", r"outputs.trace=runs\t.csv", "outputs.trace"),
-    ("weighted_split", "outputs.trace=[t.csv]", "outputs.trace"),
     ("weighted_split", "name=..", "name"),
     ("weighted_split", "flows.0.src=[a]", "flows[0].src"),
     ("weighted_split", "flows.0.dst={b: 1}", "flows[0].dst"),
     ("weighted_split", "flows.0.route=[a->b,[x]]", "flows[0].route[1]"),
     ("fat_tree_random", "flow_groups.0.dst=[r]", "flow_groups[0].dst"),
     ("single_link_nflows", "flow_groups.0.src=true", "flow_groups[0].src"),
+    ("weighted_split", "flows=[]", "flows"),
 ])
 def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
                                                  field):
@@ -409,7 +439,8 @@ def test_malformed_value_exits_2_and_names_field(capsys, scenario, setting,
     ("single_link_nflows", "flow_groups.0.start_stagger.batch=2",
      "flow_groups[0].start_stagger.batch"),
     ("weighted_split", "convergence.epsilon=0.1", "convergence.epsilon"),
-    ("weighted_split", "outputs.csv=t.csv", "outputs.csv"),
+    ("weighted_split", "outputs.trace=t.csv", "outputs"),
+    ("weighted_split", "outputs={trace: x.csv, summary: x.csv}", "outputs"),
 ])
 def test_unknown_key_exits_2_and_names_it(capsys, scenario, setting, field):
     """A misspelt key would leave its field at the default unnoticed."""

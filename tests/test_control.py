@@ -282,6 +282,11 @@ def test_lemma_fairness_boundary_is_exclusive():
     ).fairness_ok
 
 
+def test_lemma_queue_conditions_need_an_update_interval():
+    with pytest.raises(ValueError, match="update_interval must be set"):
+        check_lemma_conditions(default_params())
+
+
 def test_lemma_all_pass_at_twice_noosc_bound():
     dt = 1e-6
     p = 2 * dt * math.log(1000)

@@ -126,6 +126,12 @@ def test_window_must_fit():
     tr = synthetic_trace({"a": np.full(10, 25e9)})
     with pytest.raises(ValueError, match="window"):
         convergence_time(tr, allocation({"a": 25e9}), window=50)
+    with pytest.raises(ValueError, match="fewer than two samples"):
+        convergence_time(tr, allocation({"a": 25e9}), start=3e-6, end=3e-6)
+    empty = AllocationResult(rates={}, bottlenecks={}, fair_share={},
+                             weights={})
+    with pytest.raises(ValueError, match="allocation has no flows"):
+        convergence_time(tr, empty)
 
 
 def test_utilization_saturating_flow():

@@ -356,6 +356,12 @@ def test_empty_route_rejected():
         water_fill(single_link(), [FlowSpec("f", (), ((0.0, 1.0),))])
 
 
+def test_zero_weight_rejected():
+    flows = [flow_on_link("x"), flow_on_link("y")]
+    with pytest.raises(ValueError, match="'y': weight must be > 0"):
+        water_fill(single_link(), flows, {"x": 1.0, "y": 0.0})
+
+
 def test_broken_route_rejected_as_by_the_engine():
     with pytest.raises(FlowError, match="route breaks"):
         water_fill(two_switch(), [FlowSpec("f", ("h1->s1", "s2->h6"))])

@@ -106,8 +106,10 @@ def test_sweep_param_mapping():
     assert all(f["initial_rate"] == 5e9 for f in raw["flows"])
     with pytest.raises(ScenarioError, match="unknown sweep parameter"):
         apply_sweep_value(raw, "bogus", 1)
-    with pytest.raises(ScenarioError, match="fat_tree"):
-        apply_sweep_value(raw, "K", 8)
+    # K on a star is set as --set sets it, and the reader refuses it
+    apply_sweep_value(raw, "K", 8)
+    with pytest.raises(ScenarioError, match=r"^topology\.K: unknown key"):
+        scenario_from_dict(raw)
     assert set(SWEEP_PARAMS) == {"m", "p", "k", "flow_count", "K", "initial_rate"}
 
 
@@ -207,13 +209,15 @@ def test_convergence_and_outputs_sections():
     raw = yaml.safe_load(yaml.safe_dump(BASE))
     raw["convergence"] = {"eps": 0.002, "window": 40}
     raw["require_converged"] = True
-    raw["outputs"] = {"trace": "t.csv", "summary": "s.json"}
     sc = scenario_from_dict(raw)
     assert sc.convergence_eps == 0.002
     assert sc.convergence_window == 40
     assert sc.require_converged
-    assert sc.trace_name == "t.csv" and sc.summary_name == "s.json"
     assert sc.convergence_judge == "all"
+    # output files are named by ``name`` alone
+    raw["outputs"] = {"trace": "t.csv", "summary": "s.json"}
+    with pytest.raises(ScenarioError, match="^outputs: unknown key"):
+        scenario_from_dict(raw)
 
 
 def test_convergence_judge_parses():
@@ -299,7 +303,6 @@ FUZZ_BASES = [
                 "sampling_interval": 1e-6, "signal_delay_mode": "fixed_rtt",
                 "update_mode": "per_rtt", "packet_size": 8000.0},
         "convergence": {"eps": 0.05, "window": 20, "judge": "all"},
-        "outputs": {"trace": "t.csv", "summary": "t.json"},
     },
     {
         "name": "fat_tree",
@@ -359,6 +362,47 @@ def test_one_bad_value_is_a_scenario_error(site, value):
     except ScenarioError:
         return
     assert isinstance(result, Scenario)
+
+
+def _parses(raw) -> bool:
+    try:
+        scenario_from_dict(raw)
+    except ScenarioError:
+        return False
+    return True
+
+
+# a valid value for each sweep parameter
+SWEEP_VALUES = {"m": 0.5, "p": 20e-6, "k": 3e-6, "flow_count": 3, "K": 4,
+                "initial_rate": 1e9}
+NULL_SECTIONS = [(b, key) for b, base in enumerate(FUZZ_BASES) for key in base
+                 if _parses({**base, key: None})]
+
+
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+@pytest.mark.parametrize("b, key", NULL_SECTIONS)
+def test_sweep_value_on_a_null_section_is_a_scenario_error(b, key, param):
+    """A sweep edits a scenario whose sections may be null, as ``--set``
+    does: the result parses or raises ScenarioError."""
+    raw = {**copy.deepcopy(FUZZ_BASES[b]), key: None}
+    try:
+        apply_sweep_value(raw, param, SWEEP_VALUES[param])
+        result = scenario_from_dict(raw)
+    except ScenarioError:
+        return
+    assert isinstance(result, Scenario)
+
+
+def test_yaml_without_topology_or_group_count_is_named(tmp_path):
+    for raw, field in (({k: v for k, v in BASE.items() if k != "topology"},
+                        "topology: missing"),
+                       ({**FUZZ_BASES[2],
+                         "flow_groups": [{"src": "random", "dst": "random"}]},
+                        r"flow_groups\[0\]\.count: missing")):
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ScenarioError, match=f"^{field}"):
+            load_scenario(str(path))
 
 
 NUMERIC_SITES = [

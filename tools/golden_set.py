@@ -17,7 +17,8 @@ Every command goes through ``soze_sim.cli.main``:
   mid-run), and ``weighted_split`` with a gap between ``w3``'s stop and
   ``w1``'s start (an epoch with no active flows);
 - ``soze-sim oracle`` on the 10 built-in scenarios;
-- the 5-value ``m_sweep`` sweep over ``m``.
+- the 5-value ``m_sweep`` sweep over ``m``, and ``single_link_nflows``
+  swept over ``flow_count`` at 10 and 100 flows.
 
 SHA256SUMS gets one line per trace CSV (its bytes), per summary JSON
 (re-dumped without ``wall_time_s``), per sweep row file (each row without
@@ -73,7 +74,8 @@ RUNS = [(n, n, FIG_MAXMIN if n == "fig_maxmin" else ()) for n in BUILTINS] + [
     ("weighted_split.gap", "weighted_split",
      ("flows.0.stop=2e-4", "flows.1.start=3e-4", "sim.end_time=6e-4")),
 ]
-SWEEP = ("m_sweep", "m", "0.25,1.0,1.9,2.0,2.5")
+SWEEPS = [("m_sweep", "m", "0.25,1.0,1.9,2.0,2.5"),
+          ("single_link_nflows", "flow_count", "10,100")]
 
 
 def sha256(data: bytes) -> str:
@@ -126,12 +128,13 @@ def golden_sums(out: str) -> list[str]:
     for name in BUILTINS:
         cmd = ["oracle", os.path.join(SCENARIOS, f"{name}.yaml")]
         sums.append((sha256(call(cmd, out)), f"oracle/{name}/stdout"))
-    scenario, param, values = SWEEP
-    label = f"{scenario}.sweep_{param}"
-    cmd = ["sweep", os.path.join(SCENARIOS, f"{scenario}.yaml"),
-           "--param", param, "--values", values, "--out", os.path.join(out, label)]
-    sums.append((sha256(call(cmd, out)), f"{label}/stdout"))
-    sums += output_sums(out, label)
+    for scenario, param, values in SWEEPS:
+        label = f"{scenario}.sweep_{param}"
+        cmd = ["sweep", os.path.join(SCENARIOS, f"{scenario}.yaml"),
+               "--param", param, "--values", values,
+               "--out", os.path.join(out, label)]
+        sums.append((sha256(call(cmd, out)), f"{label}/stdout"))
+        sums += output_sums(out, label)
     return [f"{digest}  {name}\n" for digest, name in sums]
 
 
