@@ -22,8 +22,9 @@ oracle``'s ``allocation``) an ``AllocationResult`` and its ``convergence``
 a ``ConvergenceReport``.
 
 A sweep instance is the run with ``--param`` set to one value, written as
-``<name>.<param>=<value>.trace.csv`` and ``<name>.<param>=<value>.summary.json``;
-the sweep writes ``<name>.sweep_<param>.json``, one row per value:
+``<name>.<param>=<value>.trace.csv`` and ``<name>.<param>=<value>.summary.json``
+(no value may repeat; ``20e-6`` reads as a number, as in YAML 1.2); the
+sweep writes ``<name>.sweep_<param>.json``, one row per value:
 
 * ``converged`` -- the instance summary's ``all_converged``;
 * ``status`` -- the instance summary's ``status``;
@@ -43,6 +44,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -66,24 +68,13 @@ EXIT_CONFIG = 2
 EXIT_UNCONVERGED = 3
 
 
-def _epoch_boundaries(flows: list[FlowSpec], end_time: float) -> list[float]:
-    marks = {0.0}
-    for f in flows:
-        marks.add(f.start_time)
-        if f.stop_time is not None and f.stop_time < end_time:
-            marks.add(f.stop_time)
-        for t, _ in f.weight_schedule:
-            if 0.0 <= t < end_time:
-                marks.add(t)
-    return sorted(m for m in marks if m < end_time)
-
-
 def epoch_allocations(
     scenario: Scenario,
 ) -> list[tuple[float, float, list[FlowSpec], AllocationResult | None]]:
-    """Water-filling allocation for every event epoch of the scenario."""
+    """Water-filling allocation per epoch: from 0 and each event in [0, end)."""
     end = scenario.sim.end_time
-    bounds = _epoch_boundaries(scenario.flows, end)
+    bounds = sorted({0.0} | {t for f in scenario.flows for t, _, _ in f.events()
+                             if 0.0 <= t < end})
     out = []
     for i, t0 in enumerate(bounds):
         t1 = bounds[i + 1] if i + 1 < len(bounds) else end
@@ -249,11 +240,23 @@ def _describe_epoch(ep: dict) -> str:
     return f"{head} status={ep['status']}{judged} {detail} oracle: {rates}"
 
 
+# floats in YAML 1.2 that YAML 1.1 reads as strings: 20e-6, 1e5, 1.0e5
+_YAML12_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+
+
 def cmd_sweep(args) -> int:
     values = [parse_yaml(v, "--values") for v in args.values.split(",") if v]
+    values = [float(v) if isinstance(v, str) and _YAML12_FLOAT.fullmatch(v)
+              else v for v in values]
     if not values:
         raise ScenarioError(f"--values: expected a comma-separated list, "
                             f"got {args.values!r}")
+    # each value names its instance's files, so a repeat would overwrite them
+    stems = [str(v) for v in values]
+    again = [v for i, v in enumerate(stems) if v in stems[:i]]
+    if again:
+        raise ScenarioError(f"--values: expected distinct values, got "
+                            f"{args.param}={again[0]} twice")
     base = load_scenario(args.scenario, overrides=args.set or ())
     # a bad --param fails in the first instance, before it writes a file
     results = [_sweep_instance(base.raw, args.param, v, args.out)

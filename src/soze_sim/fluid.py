@@ -2,7 +2,8 @@
 
 Per integration step of length ``dt`` the engine:
 
-1. applies due events (flow start/stop, weight changes),
+1. applies due events: each flow's ``FlowSpec.events()`` (start, weight
+   steps, stop), placed on the step grid,
 2. after an event or a rate update, sums per-link arrival rates by
    scattering each flow's rate over its route hops (flat
    ``(hop_flow, hop_link)`` arrays built once) into the queue increment
@@ -404,18 +405,11 @@ class FluidSimulation:
     def _build_events(self) -> None:
         dt = self.config.dt
         order = {"start": 0, "weight": 1, "stop": 2}
-        raw: list[tuple[int, int, int, str, float | None]] = []
-        for j, f in enumerate(self.flows):
-            start_step = max(0, int(round(f.start_time / dt)))
-            raw.append((start_step, order["start"], j, "start", None))
-            for t, w in f.weight_schedule:
-                step = max(0, int(round(t / dt)))
-                raw.append((step, order["weight"], j, "weight", w))
-            if f.stop_time is not None:
-                stop_step = max(0, int(round(f.stop_time / dt)))
-                raw.append((stop_step, order["stop"], j, "stop", None))
-        raw.sort(key=lambda e: (e[0], e[1], self.flow_ids[e[2]]))
-        self._events = raw
+        # stable, so a flow's weight steps that share a step keep their order
+        self._events = sorted([
+            (max(0, int(round(t / dt))), order[kind], f.id, j, kind, value)
+            for j, f in enumerate(self.flows) for t, kind, value in f.events()
+        ], key=lambda e: e[:3])
 
     # -- signal delivery ---------------------------------------------------
 
@@ -572,7 +566,7 @@ class FluidSimulation:
         tol = dt / 2.0
 
         rates = np.zeros(nf)
-        weights = np.array([f.weight_schedule[0][1] for f in self.flows])
+        weights = np.zeros(nf)      # each flow's first weight event sets it
         active = np.zeros(nf, dtype=bool)
         last_update = np.zeros(nf)
         cur_sig = np.zeros(nf)
@@ -597,7 +591,6 @@ class FluidSimulation:
 
         aimd = cfg.aimd
         aimd_pkt = cfg.packet_size
-        events_out: list[TraceEvent] = []
         ev = self._events
         ev_ptr = 0
 
@@ -623,9 +616,8 @@ class FluidSimulation:
         def apply_events(step: int, now: float) -> None:
             nonlocal ev_ptr
             while ev_ptr < len(ev) and ev[ev_ptr][0] <= step:
-                _, _, j, kind, value = ev[ev_ptr]
+                *_, j, kind, value = ev[ev_ptr]
                 ev_ptr += 1
-                f = self.flows[j]
                 if kind == "start":
                     active[j] = True
                     rates[j] = self.init_rates[j]
@@ -642,7 +634,6 @@ class FluidSimulation:
                     active[j] = False
                     rates[j] = 0.0
                     opens[j] = n_steps
-                events_out.append(TraceEvent(now, kind, f.id, value))
 
         apply_events(0, 0.0)
         out_t[row] = 0.0
@@ -741,7 +732,9 @@ class FluidSimulation:
             rates=out_rates[:row],
             signals=out_sig[:row],
             queue_delays=out_qd[:row],
-            events=tuple(events_out),
+            # the events the loop applied: those before the last step
+            events=tuple(TraceEvent(step * dt, kind, fid, value)
+                         for step, _, fid, _, kind, value in ev if step < n_steps),
             routes={f.id: tuple(f.route) for f in self.flows},
             base_rtts={f.id: float(r) for f, r in zip(self.flows, self.base_rtt)},
             bandwidths={l.id: l.bandwidth for l in self.topology.links},

@@ -112,7 +112,8 @@ class FlowSpec:
 
     ``weight_schedule`` is a sequence of (time, weight) pairs; each weight
     takes effect instantaneously at its time and holds until the next entry.
-    ``start_time`` is >= 0: the simulation starts at 0.
+    ``start_time`` is >= 0: the simulation starts at 0.  ``events()`` is the
+    schedule that both the engine and the summary's epochs read.
     """
 
     id: str
@@ -154,6 +155,15 @@ class FlowSpec:
             raise FlowError(f"flow {self.id!r}: unknown controller {self.controller!r}")
         if self.initial_rate is not None and not self.initial_rate > 0:
             raise FlowError(f"flow {self.id!r}: initial rate must be > 0")
+
+    def events(self) -> list[tuple[float, str, float | None]]:
+        """``(time, kind, value)`` for the flow's start, each weight step
+        (the value is the weight) and its stop, in that order."""
+        events = [(self.start_time, "start", None)]
+        events += [(t, "weight", w) for t, w in self.weight_schedule]
+        if self.stop_time is not None:
+            events.append((self.stop_time, "stop", None))
+        return events
 
     def weight_at(self, t: float) -> float:
         w = self.weight_schedule[0][1]

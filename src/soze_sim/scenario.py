@@ -403,16 +403,8 @@ def _resolve_route(
         return tuple(_text(hops, i, f"{path}.route", None) for i in hops)
     if entry.get("src") is None or entry.get("dst") is None:
         raise ScenarioError(f"{path}: need either 'route' or 'src'+'dst'")
-    return _route(topology, _text(entry, "src", path, None),
-                  _text(entry, "dst", path, None), fid, seed, path)
-
-
-def _route(topology: Topology, src: str, dst: str, fid: str, seed: int,
-           path: str):
-    try:
-        return route_flow(topology, src, dst, seed=seed, flow_id=fid)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return route_flow(topology, _text(entry, "src", path, None),
+                      _text(entry, "dst", path, None), seed=seed, flow_id=fid)
 
 
 def _expand_group(
@@ -474,11 +466,10 @@ def _expand_group(
         start = start0
         if stagger:
             start = start0 + (i * batches // count) * interval
-        route = _route(topology, src, dst, fid, seed, f"{path}[{i}]")
         flows.append(
             FlowSpec(
                 id=fid,
-                route=route,
+                route=route_flow(topology, src, dst, seed=seed, flow_id=fid),
                 weight_schedule=((0.0, weight),),
                 start_time=start,
                 stop_time=stop,

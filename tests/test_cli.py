@@ -343,6 +343,10 @@ def test_bad_convergence_setting_exits_2_and_names_field(tmp_out, capsys,
     ("topology={kind: star, n: 1}", "topology: star: need at least 2 hosts"),
     ("flow_groups=[{count: 1, src: random, dst: b}]",
      "flow_groups[0]: random endpoints need >= 2 hosts"),
+    # a route from src to dst is named by its flow or its group
+    ("flows.0.dst=a", "flows[0]: route: src == dst ('a')"),
+    ("flow_groups=[{count: 1, src: a, dst: a}]",
+     "flow_groups[0]: route: src == dst ('a')"),
     ("sim.dt.x=1", "override sim.dt.x: no 'x' in a float"),
     ("flows=[]", "flows: expected at least one flow"),
     # valid alone, refused by the engine at set-up
@@ -480,7 +484,11 @@ def test_sweep_on_a_top_level_list_exits_2(tmp_out, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("values", ["[", "", ","])
+@pytest.mark.parametrize("values", [
+    "[", "", ",",
+    # each value names its instance's files: a repeat would overwrite them
+    "0.5,0.5", "0.5,0.50", "20e-6,2e-05",
+])
 def test_bad_sweep_values_exit_2_and_name_the_flag(tmp_out, capsys, values):
     path = write_scenario(tmp_out, SMALL)
     assert main(["sweep", path, "--param", "m", "--values", values,
@@ -489,6 +497,49 @@ def test_bad_sweep_values_exit_2_and_name_the_flag(tmp_out, capsys, values):
     assert "error: --values: expected" in err
     assert "Traceback" not in err
     assert os.listdir(tmp_out) == ["scenario.yaml"]
+
+
+def test_sweep_reads_exponent_values_as_numbers(tmp_out):
+    """YAML 1.1 reads ``20e-6`` (no dot) as a string; a sweep value reads it
+    as the float YAML 1.2 does, in its row and in its stem."""
+    path = write_scenario(tmp_out, SMALL)
+    assert main(["sweep", path, "--param", "p", "--values", "20e-6,1.0e-5",
+                 "--set", "sim.end_time=2e-5", "--out", tmp_out]) == 0
+    with open(os.path.join(tmp_out, "small.sweep_p.json")) as fh:
+        rows = json.load(fh)
+    assert [row["value"] for row in rows] == [2e-05, 1e-05]
+    assert [row["summary_path"] for row in rows] == [
+        os.path.join(tmp_out, f"small.p={p}.summary.json")
+        for p in ("2e-05", "1e-05")]
+    assert sorted(os.listdir(tmp_out)) == [
+        "scenario.yaml", "small.p=1e-05.summary.json", "small.p=1e-05.trace.csv",
+        "small.p=2e-05.summary.json", "small.p=2e-05.trace.csv",
+        "small.sweep_p.json"]
+
+
+def test_events_outside_the_run_open_no_epoch(tmp_out):
+    """A weight step before 0 applies at step 0 and opens no epoch; a stop
+    at or after ``end_time`` is in neither the trace's events nor the
+    epochs."""
+    from soze_sim import load_scenario
+    from soze_sim.cli import epoch_allocations
+
+    path = write_scenario(tmp_out, SMALL)
+    for stop in ("1e-3", "2e-3"):    # at and after end_time
+        sc = load_scenario(path, [
+            "sim.end_time=1e-3", f"flows.1.stop={stop}",
+            "flows.0.weight_schedule=[[-1e-6, 2.0], [5e-4, 1.0]]"])
+        trace = run(sc.topology, sc.flows, sc.sim)
+        assert [(e.time, e.kind, e.flow_id, e.value) for e in trace.events] == [
+            (0.0, "start", "p", None), (0.0, "start", "q", None),
+            (0.0, "weight", "p", 2.0), (0.0, "weight", "q", 1.0),
+            (4000 * sc.sim.dt, "weight", "p", 1.0)]
+        epochs = epoch_allocations(sc)
+        assert [(t0, t1) for t0, t1, _, _ in epochs] == [(0.0, 5e-4),
+                                                         (5e-4, 1e-3)]
+        assert [[f.id for f in active] for _, _, active, _ in epochs] == [
+            ["p", "q"], ["p", "q"]]
+        assert epochs[0][3].rates["p"] == pytest.approx(2 * epochs[0][3].rates["q"])
 
 
 def test_route_crossing_a_link_twice_exits_2(capsys):

@@ -1113,6 +1113,19 @@ def test_engine_step_matches_scalar_ops():
     assert eng.deliver_signal("f", trace.times[-1]) == trace.queue_delays[-5, 0]
 
 
+def test_weight_steps_on_one_step_apply_in_schedule_order():
+    """Two weight steps that round to one step both apply there, in schedule
+    order, so the later weight holds."""
+    dt = 0.125e-6
+    f = FlowSpec("f", ("a->b",), ((0.0, 1.0), (10e-6, 4.0), (10e-6 + dt / 4, 2.0)))
+    cfg = SimConfig(dt=dt, end_time=1.5e-3, control=default_params(rate_cap=120e9))
+    trace = run(single_link(), [f, flow_on_link("g")], cfg)
+    assert [(e.time, e.value) for e in trace.events if e.flow_id == "f"] == [
+        (0.0, None), (0.0, 1.0), (80 * dt, 4.0), (80 * dt, 2.0)]
+    rate_f, rate_g = trace.rates[-1]
+    assert rate_f / rate_g == pytest.approx(2.0, rel=2e-2)
+
+
 def test_flow_stop_releases_bandwidth():
     topo = single_link(prop_delay=0.25e-6)
     flows = [

@@ -417,3 +417,12 @@ def test_weight_at_steps():
     assert f.weight_at(0.0099) == 1.0
     assert f.weight_at(0.01) == 2.0
     assert f.weight_at(0.05) == 5.0
+
+
+def test_events_list_start_weights_stop():
+    f = FlowSpec("f", ("h1->s1",), ((0.0, 1.0), (0.01, 2.0)), start_time=0.005,
+                 stop_time=0.02)
+    assert f.events() == [(0.005, "start", None), (0.0, "weight", 1.0),
+                          (0.01, "weight", 2.0), (0.02, "stop", None)]
+    assert FlowSpec("g", ("h1->s1",)).events() == [
+        (0.0, "start", None), (0.0, "weight", 1.0)]
