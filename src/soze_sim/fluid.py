@@ -72,6 +72,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -277,9 +278,32 @@ def resolve_params(
         max_bw = max(l.bandwidth for l in topology.links)
         min_w = min(w for f in flows for _, w in f.weight_schedule)
         alpha = max_bw / min_w
+        if not 0 < alpha / 1000.0 < math.inf:
+            raise SimConfigError(
+                f"control.alpha: max bandwidth / min weight = {max_bw!r} / "
+                f"{min_w!r} is out of float range; set control.alpha and "
+                "control.beta")
     beta = params.beta if params.beta is not None else alpha / 1000.0
     return replace(params, alpha=alpha, beta=beta)
 
+
+# the most steps a run, a sampling interval or a control gate may span: a
+# step plus a gate, in steps, still fits in intp
+_MAX_STEPS = 2**62
+
+
+def _steps(span: float, dt: float, field: str) -> int:
+    """``round(span / dt)``; a span of ``_MAX_STEPS`` steps or more raises
+    a SimConfigError naming ``field``."""
+    steps = span / dt
+    if not steps < _MAX_STEPS:
+        raise SimConfigError(
+            f"{field}: {span} s is more than 2**62 steps of sim.dt ({dt})")
+    return int(round(steps))
+
+
+# the order of a flow's events that fall on one step
+_KIND_ORDER = {"start": 0, "weight": 1, "stop": 2}
 
 # added to history rows i0, gives the stacked rows (i0, i0 + 1)
 _NEXT_ROW = np.array([[0], [1]])
@@ -326,7 +350,9 @@ class FluidSimulation:
 
         # bincount adds from 0.0 in route order, as a sum over the route does
         prop = np.array([l.prop_delay for l in topology.links], dtype=float)
-        self.base_rtt = 2.0 * np.bincount(self._hop_flow, prop[hops], nf)
+        # a route too long for a float gets an inf gate, refused below
+        with np.errstate(over="ignore"):
+            self.base_rtt = 2.0 * np.bincount(self._hop_flow, prop[hops], nf)
         # a read finds history rows once per read key -- a flow's distinct
         # base RTT under fixed_rtt, the flow itself under queue lag -- and
         # interpolates each distinct (key, link) pair a route uses once:
@@ -376,12 +402,22 @@ class FluidSimulation:
                 "quarter of the fastest control gate "
                 f"(flow {self.flow_ids[fastest]!r})"
             )
+        # the gate calendar counts a gate in steps, and adds it to a step
+        slowest = int(self.gate.argmax())
+        if not float(self.gate[slowest]) / config.dt < _MAX_STEPS:
+            field = ("control.update_interval" if params.update_interval
+                     is not None and self.is_soze[slowest] else "prop_delay")
+            raise SimConfigError(
+                f"{field}: flow {self.flow_ids[slowest]!r} has a control gate "
+                f"of {float(self.gate[slowest])!r} s, more than 2**62 steps "
+                f"of sim.dt ({config.dt})"
+            )
 
-        self.n_steps = max(1, int(round(config.end_time / config.dt)))
+        self.n_steps = max(1, _steps(config.end_time, config.dt, "sim.end_time"))
         samp = config.sampling_interval
         if samp is None:
             samp = finest
-        self.sample_every = max(1, int(round(samp / config.dt)))
+        self.sample_every = max(1, _steps(samp, config.dt, "sim.sampling_interval"))
         self.sampling_interval = self.sample_every * config.dt
         self._n_samples = self.n_steps // self.sample_every + 1
         # the queue-lag ring starts at this size and grows on demand
@@ -403,13 +439,25 @@ class FluidSimulation:
         self._ran = False
 
     def _build_events(self) -> None:
-        dt = self.config.dt
-        order = {"start": 0, "weight": 1, "stop": 2}
-        # stable, so a flow's weight steps that share a step keep their order
-        self._events = sorted([
-            (max(0, int(round(t / dt))), order[kind], f.id, j, kind, value)
-            for j, f in enumerate(self.flows) for t, kind, value in f.events()
-        ], key=lambda e: e[:3])
+        """The events that apply before the last step, in the order they
+        apply: by step (``max(0, round(t / dt))``), then start < weight <
+        stop, then flow id, and a flow's own in ``FlowSpec.events()`` order.
+        Columns: ``_ev_step`` (ending in ``n_steps``, a step the loop never
+        reaches), ``_ev_flow`` (flow index), ``_ev_kind`` and ``_ev_value``."""
+        # flow-id order first, so a stable sort by (step, kind) keeps it
+        by_id = sorted(range(len(self.flows)), key=self.flow_ids.__getitem__)
+        lists = [self.flows[j].events() for j in by_id]
+        times, kinds, values = zip(*chain.from_iterable(lists))
+        flow = np.repeat(by_id, [len(e) for e in lists])
+        with np.errstate(over="ignore"):    # inf: a step after the run
+            step = np.maximum(np.rint(np.array(times) / self.config.dt), 0.0)
+        kind = np.fromiter(map(_KIND_ORDER.__getitem__, kinds), np.intp, len(kinds))
+        order = np.lexsort((kind, step))
+        order = order[step[order] < self.n_steps]
+        self._ev_step = [*step[order].astype(np.intp).tolist(), self.n_steps]
+        self._ev_flow = flow[order].tolist()
+        self._ev_kind = [kinds[e] for e in order.tolist()]
+        self._ev_value = [values[e] for e in order.tolist()]
 
     # -- signal delivery ---------------------------------------------------
 
@@ -591,8 +639,9 @@ class FluidSimulation:
 
         aimd = cfg.aimd
         aimd_pkt = cfg.packet_size
-        ev = self._events
-        ev_ptr = 0
+        ev_step, ev_flow = self._ev_step, self._ev_flow
+        ev_kind, ev_value = self._ev_kind, self._ev_value
+        ev_ptr, next_ev = 0, ev_step[0]
 
         n_samples = self._n_samples
         out_t = np.empty(n_samples)
@@ -614,10 +663,9 @@ class FluidSimulation:
         opens = np.full(nf, n_steps, dtype=np.intp)
 
         def apply_events(step: int, now: float) -> None:
-            nonlocal ev_ptr
-            while ev_ptr < len(ev) and ev[ev_ptr][0] <= step:
-                *_, j, kind, value = ev[ev_ptr]
-                ev_ptr += 1
+            nonlocal ev_ptr, next_ev
+            while next_ev <= step:
+                j, kind = ev_flow[ev_ptr], ev_kind[ev_ptr]
                 if kind == "start":
                     active[j] = True
                     rates[j] = self.init_rates[j]
@@ -629,11 +677,13 @@ class FluidSimulation:
                             cwnd[j] * aimd_pkt / self.base_rtt[j], self.caps[j]
                         )
                 elif kind == "weight":
-                    weights[j] = value
+                    weights[j] = ev_value[ev_ptr]
                 elif kind == "stop":
                     active[j] = False
                     rates[j] = 0.0
                     opens[j] = n_steps
+                ev_ptr += 1
+                next_ev = ev_step[ev_ptr]
 
         apply_events(0, 0.0)
         out_t[row] = 0.0
@@ -654,7 +704,7 @@ class FluidSimulation:
 
         for k in range(n_steps):
             t_next = (k + 1) * dt
-            if ev_ptr < len(ev) and ev[ev_ptr][0] <= k:
+            if k >= next_ev:
                 apply_events(k, k * dt)
                 stale = True
                 next_gate = int(np.minimum.reduce(opens))
@@ -732,9 +782,9 @@ class FluidSimulation:
             rates=out_rates[:row],
             signals=out_sig[:row],
             queue_delays=out_qd[:row],
-            # the events the loop applied: those before the last step
-            events=tuple(TraceEvent(step * dt, kind, fid, value)
-                         for step, _, fid, _, kind, value in ev if step < n_steps),
+            events=tuple(map(TraceEvent, [step * dt for step in ev_step[:-1]],
+                             ev_kind, [self.flow_ids[j] for j in ev_flow],
+                             ev_value)),
             routes={f.id: tuple(f.route) for f in self.flows},
             base_rtts={f.id: float(r) for f, r in zip(self.flows, self.base_rtt)},
             bandwidths={l.id: l.bandwidth for l in self.topology.links},

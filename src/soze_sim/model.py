@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -125,36 +126,39 @@ class FlowSpec:
     initial_rate: float | None = None   # bits/s; None -> rate cap / 10
 
     def __post_init__(self) -> None:
-        if not self.route:
-            raise FlowError(f"flow {self.id!r}: empty route")
-        if len(set(self.route)) != len(self.route):
-            again = next(l for i, l in enumerate(self.route) if l in self.route[:i])
-            raise FlowError(f"flow {self.id!r}: route crosses link {again!r} twice")
-        if not self.weight_schedule:
-            raise FlowError(f"flow {self.id!r}: empty weight schedule")
-        times = [t for t, _ in self.weight_schedule]
-        if not all(math.isfinite(t) for t in times):
-            raise FlowError(f"flow {self.id!r}: schedule times must be finite")
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        fid, route, sched = self.id, self.route, self.weight_schedule
+        if not route:
+            raise FlowError(f"flow {fid!r}: empty route")
+        if len(set(route)) != len(route):
+            again = next(l for i, l in enumerate(route) if l in route[:i])
+            raise FlowError(f"flow {fid!r}: route crosses link {again!r} twice")
+        if not sched:
+            raise FlowError(f"flow {fid!r}: empty weight schedule")
+        times = [t for t, _ in sched]
+        if not all(map(math.isfinite, times)):
+            raise FlowError(f"flow {fid!r}: schedule times must be finite")
+        if any(map(operator.le, times[1:], times)):
             raise FlowError(
-                f"flow {self.id!r}: schedule times must be strictly increasing")
-        if not all(math.isfinite(w) and w > 0 for _, w in self.weight_schedule):
-            raise FlowError(f"flow {self.id!r}: weights must be finite and > 0")
-        if not all(map(math.isfinite, (self.start_time, self.stop_time or 0.0))):
-            raise FlowError(f"flow {self.id!r}: start and stop times must be finite")
-        if self.start_time < 0:
-            raise FlowError(f"flow {self.id!r}: start time must be >= 0")
-        if times[0] > self.start_time:
+                f"flow {fid!r}: schedule times must be strictly increasing")
+        weights = [w for _, w in sched]
+        if not (all(map(math.isfinite, weights)) and min(weights) > 0):
+            raise FlowError(f"flow {fid!r}: weights must be finite and > 0")
+        start, stop = self.start_time, self.stop_time
+        if not (math.isfinite(start) and (stop is None or math.isfinite(stop))):
+            raise FlowError(f"flow {fid!r}: start and stop times must be finite")
+        if start < 0:
+            raise FlowError(f"flow {fid!r}: start time must be >= 0")
+        if times[0] > start:
             raise FlowError(
-                f"flow {self.id!r}: first schedule time {times[0]} is after "
-                f"start time {self.start_time}"
+                f"flow {fid!r}: first schedule time {times[0]} is after "
+                f"start time {start}"
             )
-        if self.stop_time is not None and self.stop_time <= self.start_time:
-            raise FlowError(f"flow {self.id!r}: stop time must be after start time")
+        if stop is not None and stop <= start:
+            raise FlowError(f"flow {fid!r}: stop time must be after start time")
         if self.controller not in ("soze", "aimd"):
-            raise FlowError(f"flow {self.id!r}: unknown controller {self.controller!r}")
+            raise FlowError(f"flow {fid!r}: unknown controller {self.controller!r}")
         if self.initial_rate is not None and not self.initial_rate > 0:
-            raise FlowError(f"flow {self.id!r}: initial rate must be > 0")
+            raise FlowError(f"flow {fid!r}: initial rate must be > 0")
 
     def events(self) -> list[tuple[float, str, float | None]]:
         """``(time, kind, value)`` for the flow's start, each weight step

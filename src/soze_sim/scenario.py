@@ -49,6 +49,17 @@ and the section for the rest (``control: p must be > 0``).  Explicit
 ``route`` entries are checked against the topology; routes found from
 ``src`` and ``dst`` are valid as found.
 
+``sim.seed`` (default 0) seeds one generator, which the flow groups draw
+from in file order.  A group with a ``random`` end first draws all of its
+endpoints over its ``n`` hosts: ``a = integers(n, size=count)``,
+``b = integers(n - 1, size=count)``, then ``b += b >= a``, so each pair
+``(a[i], b[i])`` is uniform over ordered pairs of distinct hosts.  A random
+``src`` is host ``a[i]`` and a random ``dst`` host ``b[i]``; a random end
+that would equal the group's fixed end takes the pair's other host.  Then
+a group with ``weight: {uniform: [low, high]}`` draws
+``uniform(low, high, size=count)``.  The seed also picks among equal-cost
+routes.
+
 A sweep parameter is set as ``--set`` sets its path: ``m``, ``p`` and ``k``
 at ``control.m``, ``control.p`` and ``control.k``, ``flow_count`` at
 ``flow_groups.0.count`` and ``K`` at ``topology.K``; ``initial_rate`` sets
@@ -451,26 +462,33 @@ def _expand_group(
                 f"{where}: expected 0 < low <= high, got {bounds!r}")
     else:
         weight = _number(group, "weight", path, 1.0)
+    srcs, dsts = [src0] * count, [dst0] * count
+    if "random" in (src0, dst0):
+        # a != b, uniform over ordered pairs of distinct hosts
+        a = rng.integers(len(hosts), size=count)
+        b = rng.integers(len(hosts) - 1, size=count)
+        b += b >= a
+        pairs = [(hosts[x], hosts[y]) for x, y in zip(a.tolist(), b.tolist())]
+        # a random end that lands on the fixed end takes the other draw
+        if src0 == "random":
+            srcs = [x if x != dst0 else y for x, y in pairs]
+        if dst0 == "random":
+            dsts = [y if y != src0 else x for x, y in pairs]
+    if uniform is not None:
+        weights = rng.uniform(*uniform, size=count).tolist()
+    else:
+        weights = [weight] * count
+    starts = [start0] * count
+    if stagger:
+        starts = [start0 + (i * batches // count) * interval for i in range(count)]
     flows: list[FlowSpec] = []
-    for i in range(count):
+    for i, src, dst, w, start in zip(range(count), srcs, dsts, weights, starts):
         fid = f"{prefix}_{i}"
-        src, dst = src0, dst0
-        if src == "random" or dst == "random":
-            a, b = (int(x) for x in rng.choice(len(hosts), size=2, replace=False))
-            if src == "random":
-                src = hosts[a] if hosts[a] != dst else hosts[b]
-            if dst == "random":
-                dst = hosts[b] if hosts[b] != src else hosts[a]
-        if uniform is not None:
-            weight = float(rng.uniform(*uniform))
-        start = start0
-        if stagger:
-            start = start0 + (i * batches // count) * interval
         flows.append(
             FlowSpec(
                 id=fid,
                 route=route_flow(topology, src, dst, seed=seed, flow_id=fid),
-                weight_schedule=((0.0, weight),),
+                weight_schedule=((0.0, w),),
                 start_time=start,
                 stop_time=stop,
                 controller=controller,

@@ -2,11 +2,13 @@ import csv
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+from soze_sim import load_scenario
 from soze_sim.cli import main
 
 from conftest import mean_rates, run, scenario_path
@@ -565,6 +567,39 @@ def test_zero_base_rtt_needs_prop_delay_whatever_the_interval(
     assert err.startswith("error: prop_delay: flow 'w3' has zero base RTT")
     assert "route a->b" in err and "Traceback" not in err
     assert os.listdir(tmp_out) == []
+
+
+@pytest.mark.parametrize("setting, field", [
+    # more steps of sim.dt than a step count holds
+    ("control.update_interval=1e300", "control.update_interval"),
+    ("control.update_interval=1e308", "control.update_interval"),
+    ("topology.links.0.prop_delay=1e300", "prop_delay"),
+    ("topology.links.0.prop_delay=1e308", "prop_delay"),
+    ("sim.end_time=1e300", "sim.end_time"),
+    ("sim.sampling_interval=1e308", "sim.sampling_interval"),
+    # max bandwidth / min weight overflows
+    ("flows.0.weight=1e-300", "control.alpha"),
+])
+def test_out_of_range_setup_exits_2_naming_the_field(tmp_out, capsys, setting,
+                                                     field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", scenario_path("weighted_split"),
+                     "--set", setting, "--out", tmp_out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_out) == []
+
+
+def test_event_past_the_float_step_range_never_applies(tmp_out):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = load_scenario(scenario_path("weighted_split"),
+                           overrides=("flows.0.stop=1e308",))
+        trace = run(sc.topology, sc.flows, sc.sim)
+    assert [e.kind for e in trace.events] == ["start", "start", "weight",
+                                              "weight"]
 
 
 def test_oversize_run_exits_2_before_allocating(tmp_out, capsys):

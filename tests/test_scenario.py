@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -134,14 +135,99 @@ def test_flow_groups_expand_deterministically():
     sc1 = scenario_from_dict(raw)
     sc2 = scenario_from_dict(raw)
     assert [f.id for f in sc1.flows] == [f"g0_{i}" for i in range(12)]
-    assert [(f.route, f.weight_schedule) for f in sc1.flows] == \
-           [(f.route, f.weight_schedule) for f in sc2.flows]
+    assert sc1.flows == sc2.flows
     for f in sc1.flows:
         w = f.weight_schedule[0][1]
         assert 0.5 <= w <= 4.0
     diff = scenario_from_dict({**raw, "sim": {**raw["sim"], "seed": 43}})
     assert [(f.route, f.weight_schedule) for f in sc1.flows] != \
            [(f.route, f.weight_schedule) for f in diff.flows]
+
+
+def fat_tree_groups(K, seed, *groups):
+    """A K-ary fat-tree scenario with ``groups`` as its flow groups."""
+    return {
+        "topology": {"kind": "fat_tree", "K": K, "bandwidth": 100e9,
+                     "prop_delay": 0.1e-6},
+        "flow_groups": [dict(g) for g in groups],
+        "sim": {"dt": 0.1e-6, "end_time": 1e-3, "seed": seed},
+    }
+
+
+def endpoints(sc):
+    """``(src, dst)`` of each flow, read off its route."""
+    links = {l.id: l for l in sc.topology.links}
+    return [(links[f.route[0]].src, links[f.route[-1]].dst) for f in sc.flows]
+
+
+def drawn_pairs(rng, n, count):
+    """The documented draw: ``count`` ordered pairs of distinct host
+    indices, uniform over such pairs."""
+    a = rng.integers(n, size=count)
+    b = rng.integers(n - 1, size=count)
+    b += b >= a
+    return list(zip(a.tolist(), b.tolist()))
+
+
+RANDOM_PAIRS = {"count": 300, "src": "random", "dst": "random",
+                "weight": {"uniform": [0.5, 4.0]}}
+
+
+@pytest.mark.parametrize("K", [4, 8])
+@pytest.mark.parametrize("seed", [1, 5, 23])
+def test_random_group_flows_are_the_documented_draw(K, seed):
+    sc = scenario_from_dict(fat_tree_groups(K, seed, RANDOM_PAIRS))
+    rng = np.random.default_rng(seed)
+    pairs = drawn_pairs(rng, K**3 // 4, 300)
+    weights = rng.uniform(0.5, 4.0, size=300).tolist()
+    assert endpoints(sc) == [(f"h{a}", f"h{b}") for a, b in pairs]
+    assert [f.weight_schedule for f in sc.flows] == [((0.0, w),) for w in weights]
+
+
+def test_random_group_endpoints_are_never_equal():
+    for seed in range(5):
+        sc = scenario_from_dict(fat_tree_groups(4, seed, {**RANDOM_PAIRS,
+                                                          "count": 2000}))
+        assert all(src != dst for src, dst in endpoints(sc))
+
+
+@pytest.mark.parametrize("fixed", ["src", "dst"])
+def test_one_sided_random_end_never_equals_the_fixed_end(fixed):
+    other = "dst" if fixed == "src" else "src"
+    sc = scenario_from_dict(fat_tree_groups(
+        4, 3, {"count": 2000, fixed: "h0", other: "random"}))
+    ends = [dict(zip(("src", "dst"), e)) for e in endpoints(sc)]
+    assert all(e[fixed] == "h0" for e in ends)
+    # the other 15 hosts, each drawn
+    assert {e[other] for e in ends} == {f"h{i}" for i in range(1, 16)}
+    # a random end on h0 takes the other draw of its pair
+    pairs = drawn_pairs(np.random.default_rng(3), 16, 2000)
+    side = 0 if other == "src" else 1
+    want = [f"h{p[side] if p[side] != 0 else p[1 - side]}" for p in pairs]
+    assert [e[other] for e in ends] == want
+
+
+def test_random_groups_draw_from_one_generator_in_file_order():
+    first = {**RANDOM_PAIRS, "count": 40, "id_prefix": "x"}
+    second = {"count": 30, "src": "random", "dst": "random", "id_prefix": "y"}
+    sc = scenario_from_dict(fat_tree_groups(4, 9, first, second))
+    rng = np.random.default_rng(9)
+    pairs = drawn_pairs(rng, 16, 40)
+    weights = rng.uniform(0.5, 4.0, size=40).tolist()
+    pairs += drawn_pairs(rng, 16, 30)
+    assert endpoints(sc) == [(f"h{a}", f"h{b}") for a, b in pairs]
+    assert [f.weight_schedule[0][1] for f in sc.flows] == weights + [1.0] * 30
+    swapped = scenario_from_dict(fat_tree_groups(4, 9, second, first))
+    assert endpoints(swapped)[:30] != endpoints(sc)[40:]
+
+
+def test_fixed_end_uniform_weights_are_the_per_flow_stream():
+    sc = scenario_from_dict(fat_tree_groups(
+        4, 11, {"count": 1000, "src": "h0", "dst": "h5",
+                "weight": {"uniform": [0.5, 4.0]}}))
+    rng = np.random.default_rng(11)
+    per_flow = [float(rng.uniform(0.5, 4.0)) for _ in range(1000)]
+    assert [f.weight_schedule[0][1] for f in sc.flows] == per_flow
 
 
 def test_seed_is_read_by_the_scenario_not_the_engine():

@@ -8,16 +8,17 @@ Usage, from the root of a checkout::
 
 Every command goes through ``soze_sim.cli.main``:
 
-- the 18 golden runs: the 10 built-in scenarios (``fig_maxmin`` under the
+- the 19 golden runs: the 10 built-in scenarios (``fig_maxmin`` under the
   acceptance suite's overrides), ``single_link_4flows`` under AIMD,
   ``weighted_split`` with ``per_packet`` updates, ``step_in_out`` with the
   queue lag cut to 0.6 ms, ``fat_tree_random`` at K=8 with 2000 flows and
   seed 5, ``single_link_nflows`` with 1000 flows, ``step_in_out`` with
   ``per_packet`` updates and ``f2`` under AIMD (a Söze flow, ``f1``, stops
   mid-run), ``weighted_split`` with a gap between ``w3``'s stop and
-  ``w1``'s start (an epoch with no active flows), and ``weighted_split``
+  ``w1``'s start (an epoch with no active flows), ``weighted_split``
   with ``w1``'s start and ``w3``'s stop after the run's end (events that
-  never apply);
+  never apply), and ``fat_tree_random`` with every flow sent to ``h0``
+  (random sources drawn against a fixed destination);
 - ``soze-sim oracle`` on the 10 built-in scenarios;
 - the 5-value ``m_sweep`` sweep over ``m``, and ``single_link_nflows``
   swept over ``flow_count`` at 10 and 100 flows.
@@ -77,6 +78,7 @@ RUNS = [(n, n, FIG_MAXMIN if n == "fig_maxmin" else ()) for n in BUILTINS] + [
      ("flows.0.stop=2e-4", "flows.1.start=3e-4", "sim.end_time=6e-4")),
     ("weighted_split.late", "weighted_split",
      ("flows.0.stop=3e-3", "flows.1.start=2e-3")),
+    ("fat_tree_random.incast", "fat_tree_random", ("flow_groups.0.dst=h0",)),
 ]
 SWEEPS = [("m_sweep", "m", "0.25,1.0,1.9,2.0,2.5"),
           ("single_link_nflows", "flow_count", "10,100")]
